@@ -2,8 +2,10 @@
 
 Servers accept POST bodies only (any request path; routing is the
 caller's concern) and keep connections alive per HTTP/1.1 defaults.
-Clients open one connection per call. Both sides require Content-Length;
-chunked transfer is out of scope for ROS peers.
+Clients open one connection per call. Servers require Content-Length;
+clients read a response without one to EOF. Neither side takes a body
+over MAX_MESSAGE_BYTES.
+Chunked transfer is out of scope for ROS peers.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from urllib.parse import urlsplit
 
 from .xmlrpc_codec import (
     FAULT_APP,
+    FAULT_TRANSPORT,
     MAX_MESSAGE_BYTES,
     CodecError,
     MethodCall,
@@ -198,6 +201,23 @@ def serve_xmlrpc(
     return serve_http(host, port, handler, max_body=max_body)
 
 
+async def _read_body(reader, length_text: Optional[str], limit: int) -> bytes:
+    """Read a response body of the given Content-Length, or to EOF when
+    there is none; raise RpcTransportError past limit bytes."""
+    if length_text is not None and length_text.isdigit():
+        if int(length_text) > limit:
+            raise RpcTransportError("response body over %d bytes" % limit)
+        return await reader.readexactly(int(length_text))
+    payload = bytearray()
+    while True:
+        chunk = await reader.read(64 * 1024)
+        if not chunk:
+            return bytes(payload)
+        payload += chunk
+        if len(payload) > limit:
+            raise RpcTransportError("response body over %d bytes" % limit)
+
+
 async def http_post(
     host: str,
     port: int,
@@ -234,11 +254,9 @@ async def http_post(
                 raise RpcTransportError("bad HTTP status line %r" % status_line)
             status = int(parts[1])
             headers = await _read_headers(reader)
-            length_text = headers.get("content-length")
-            if length_text is not None and length_text.isdigit():
-                payload = await reader.readexactly(int(length_text))
-            else:
-                payload = await reader.read()
+            payload = await _read_body(
+                reader, headers.get("content-length"), MAX_MESSAGE_BYTES
+            )
             if status != 200:
                 raise RpcTransportError("HTTP status %d" % status)
             return payload
@@ -262,8 +280,7 @@ async def http_post(
 class XmlRpcClient:
     """One-connection-per-call XML-RPC client.
 
-    dial lets callers observe/override outbound connections; on_response
-    sees every raw response body (for traffic inspection in tests).
+    dial lets callers observe/override outbound connections.
     """
 
     def __init__(
@@ -272,13 +289,11 @@ class XmlRpcClient:
         *,
         timeout: float = 5.0,
         dial: Optional[Dialer] = None,
-        on_response=None,
     ):
         self.uri = uri
         self.host, self.port, self.path = split_http_uri(uri)
         self.timeout = timeout
         self._dial = dial
-        self._on_response = on_response
 
     async def call(self, method: str, params: list) -> MethodResponse:
         body = encode_call(MethodCall(method, list(params)))
@@ -286,8 +301,6 @@ class XmlRpcClient:
             self.host, self.port, self.path, body,
             timeout=self.timeout, dial=self._dial,
         )
-        if self._on_response is not None:
-            self._on_response(self.host, self.port, raw)
         try:
             return parse_response(raw)
         except CodecError as exc:
@@ -302,3 +315,26 @@ class XmlRpcClient:
             return RosResult.from_value(response.value)
         except ValueError as exc:
             raise RpcTransportError("response from %s is not a ROS result: %s" % (self.uri, exc)) from exc
+
+
+async def forward(
+    uri: str,
+    call: MethodCall,
+    *,
+    timeout: float,
+    dial: Optional[Dialer],
+    target: str,
+) -> MethodResponse:
+    """Relay call to uri and return its answer.
+
+    This is the one place a failed round trip (refused, timeout, non-200,
+    unparseable body) becomes a FAULT_TRANSPORT fault; target names the
+    far end in that fault and in the one warning line logged for it.
+    """
+    try:
+        return await XmlRpcClient(uri, timeout=timeout, dial=dial).call(
+            call.method_name, call.params
+        )
+    except RpcTransportError as exc:
+        log.warning("forward of %s to %s (%s) failed: %s", call.method_name, target, uri, exc)
+        return MethodFault(FAULT_TRANSPORT, "%s unreachable: %s" % (target, exc))

@@ -5,9 +5,12 @@ services, a rosrpc endpoint) — addresses that are meaningless outside
 the internal segment. Those get intercepted: the proxy ensures per-node
 resources exist, swaps the endpoints for advertised ones, keeps the
 registration refcounts, and only then forwards upstream. Everything
-else is forwarded untouched, both ways: subscriber lists, parameter
+else is forwarded unrewritten, both ways: subscriber lists, parameter
 traffic, lookups. Nodes connect *outward* to addresses in responses on
-their own, so responses never need rewriting.
+their own, so responses never need rewriting. Every call and answer is
+still decoded and re-encoded on its way through (http11.forward), so
+values and types survive but the exact bytes may not: whitespace and
+type tags such as <i4> versus <int> can change.
 
 The same listener also serves /node/<percent-encoded caller_id> as a
 diagnostic alias onto each node's gateway, which is handy when only the
@@ -24,8 +27,7 @@ from urllib.parse import unquote
 
 from .http11 import (
     Dialer,
-    RpcTransportError,
-    XmlRpcClient,
+    forward,
     serve_xmlrpc,
     split_http_uri,
     split_rosrpc_uri,
@@ -42,7 +44,6 @@ from .slave_gateway import SlaveGatewayManager
 from .xmlrpc_codec import (
     FAULT_APP,
     FAULT_BAD_PARAMS,
-    FAULT_TRANSPORT,
     MethodCall,
     MethodFault,
     MethodResponse,
@@ -78,7 +79,9 @@ REWRITE_RULES = {
 }
 
 
-def _check_signature(call: MethodCall, rule: RewriteRule) -> None:
+def _check_signature(call: MethodCall, rule: RewriteRule) -> Optional[tuple]:
+    """Raise BadSignature unless call fits rule; return the (host, port)
+    of its rosrpc service_api, or None when the rule carries none."""
     if len(call.params) != rule.param_count:
         raise BadSignature(
             "%s takes %d params, got %d"
@@ -93,9 +96,15 @@ def _check_signature(call: MethodCall, rule: RewriteRule) -> None:
         split_http_uri(call.params[rule.caller_api_index])
     except ValueError as exc:
         raise BadSignature("caller_api: %s" % exc)
-    if rule.service_api_index is not None:
-        if not isinstance(call.params[rule.service_api_index], str):
-            raise BadSignature("service_api must be a string")
+    if rule.service_api_index is None:
+        return None
+    service_api = call.params[rule.service_api_index]
+    if not isinstance(service_api, str):
+        raise BadSignature("service_api must be a string")
+    try:
+        return split_rosrpc_uri(service_api)
+    except ValueError as exc:
+        raise BadSignature(str(exc))
 
 
 class MasterGateway:
@@ -146,37 +155,40 @@ class MasterGateway:
 
     async def handle_master_call(self, call: MethodCall, peer) -> MethodResponse:
         rule = REWRITE_RULES.get(call.method_name)
-        if rule is None:
-            return await self._forward(call)
+        if rule is not None:
+            try:
+                service_target = _check_signature(call, rule)
+            except BadSignature as exc:
+                return MethodFault(FAULT_BAD_PARAMS, str(exc))
 
-        try:
-            _check_signature(call, rule)
-        except BadSignature as exc:
-            return MethodFault(FAULT_BAD_PARAMS, str(exc))
+            caller_id = call.params[0]
+            params = list(call.params)
+            try:
+                record = await self._node_for(caller_id, params[rule.caller_api_index])
+                params[rule.caller_api_index] = self.slave_gateways.advertised_uri(record)
+                if service_target is not None:
+                    relay = await self.registry.lease_relay(caller_id, *service_target)
+                    params[rule.service_api_index] = self.slave_gateways.advertised_rosrpc(
+                        relay.port
+                    )
+            except UnknownNode as exc:
+                return MethodFault(FAULT_APP, "node vanished during handling: %s" % exc)
+            except Exception as exc:  # Exhausted, BindFailed
+                log.error("cannot provision %s for %s: %s", call.method_name, caller_id, exc)
+                return MethodFault(FAULT_APP, "cannot provision node resources: %s" % exc)
 
-        caller_id = call.params[0]
-        caller_api = call.params[rule.caller_api_index]
-        try:
-            record = await self._node_for(caller_id, caller_api)
-            rewritten = self.rewrite_caller_api(call, record)
-            if rule.service_api_index is not None:
-                rewritten = await self.rewrite_service_api(rewritten, record)
-        except BadSignature as exc:
-            return MethodFault(FAULT_BAD_PARAMS, str(exc))
-        except UnknownNode as exc:
-            return MethodFault(FAULT_APP, "node vanished during handling: %s" % exc)
-        except Exception as exc:  # Exhausted, BindFailed
-            log.error("cannot provision %s for %s: %s", call.method_name, caller_id, exc)
-            return MethodFault(FAULT_APP, "cannot provision node resources: %s" % exc)
+            name = params[rule.name_index]
+            if rule.registers:
+                self.registry.add_registration(caller_id, rule.kind, name)
+            else:
+                remaining = self.registry.remove_registration(caller_id, rule.kind, name)
+                log.debug("%s %s %r: refcount now %d", caller_id, call.method_name, name, remaining)
+            call = MethodCall(call.method_name, params)
 
-        name = call.params[rule.name_index]
-        if rule.registers:
-            self.registry.add_registration(caller_id, rule.kind, name)
-        else:
-            remaining = self.registry.remove_registration(caller_id, rule.kind, name)
-            log.debug("%s %s %r: refcount now %d", caller_id, call.method_name, name, remaining)
-
-        return await self._forward(rewritten)
+        return await forward(
+            self.upstream_master_uri, call,
+            timeout=self.rpc_timeout, dial=self.dial, target="upstream master",
+        )
 
     async def _node_for(self, caller_id: str, caller_api: str) -> NodeRecord:
         """ensure_node, except a caller_api that is already the node's
@@ -190,40 +202,3 @@ class MasterGateway:
         ):
             return existing
         return await self.registry.ensure_node(caller_id, caller_api)
-
-    def rewrite_caller_api(self, call: MethodCall, node: NodeRecord) -> MethodCall:
-        rule = REWRITE_RULES.get(call.method_name)
-        if rule is None:
-            raise BadSignature("%s is not a rewritten method" % call.method_name)
-        _check_signature(call, rule)
-        params = list(call.params)
-        params[rule.caller_api_index] = self.slave_gateways.advertised_uri(node)
-        return MethodCall(call.method_name, params)
-
-    async def rewrite_service_api(self, call: MethodCall, node: NodeRecord) -> MethodCall:
-        rule = REWRITE_RULES.get(call.method_name)
-        if rule is None or rule.service_api_index is None:
-            raise BadSignature("%s carries no service_api" % call.method_name)
-        _check_signature(call, rule)
-        raw = call.params[rule.service_api_index]
-        try:
-            host, port = split_rosrpc_uri(raw)
-        except ValueError as exc:
-            raise BadSignature(str(exc))
-        relay = await self.registry.lease_relay(node.caller_id, host, port)
-        params = list(call.params)
-        params[rule.service_api_index] = self.slave_gateways.advertised_rosrpc(relay.port)
-        return MethodCall(call.method_name, params)
-
-    async def _forward(self, call: MethodCall) -> MethodResponse:
-        client = XmlRpcClient(
-            self.upstream_master_uri, timeout=self.rpc_timeout, dial=self.dial
-        )
-        try:
-            return await client.call(call.method_name, call.params)
-        except RpcTransportError as exc:
-            log.warning("upstream %s unreachable for %s: %s",
-                        self.upstream_master_uri, call.method_name, exc)
-            return MethodFault(
-                FAULT_TRANSPORT, "upstream master unreachable: %s" % exc
-            )

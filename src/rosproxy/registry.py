@@ -22,9 +22,10 @@ import logging
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
-from .http11 import Dialer, RpcTransportError, XmlRpcClient, XmlRpcFaultError
+from .http11 import Dialer, forward
 from .ports import PortAllocator, PortLease, PURPOSE_SLAVE_API, PURPOSE_TCPROS
 from .relay import RelayHandle, close_relay, open_relay
+from .xmlrpc_codec import MethodCall, MethodSuccess, RosResult
 
 log = logging.getLogger(__name__)
 
@@ -63,8 +64,6 @@ class NodeRecord:
     services: Set[str] = field(default_factory=set)
     tcpros_relays: Dict[Tuple[str, int], RelayHandle] = field(default_factory=dict)
     ping_failures: int = 0
-    created_at: float = 0.0
-    last_seen: float = 0.0
     purged: bool = False
     _grace_timer: object = field(repr=False, default=None)
 
@@ -103,6 +102,7 @@ class Registry:
         self.dial = dial
         self.nodes: Dict[str, NodeRecord] = {}
         self._lock = asyncio.Lock()
+        self._grace_tasks: Set[asyncio.Task] = set()
 
     # -- lookup ------------------------------------------------------
 
@@ -111,12 +111,6 @@ class Registry:
         if record is None or record.purged:
             raise UnknownNode(caller_id)
         return record
-
-    def find_by_gateway_port(self, port: int) -> NodeRecord:
-        for record in self.nodes.values():
-            if record.gateway_lease.port == port and not record.purged:
-                return record
-        raise UnknownNode("no node on gateway port %d" % port)
 
     # -- lifecycle ---------------------------------------------------
 
@@ -143,9 +137,6 @@ class Registry:
                 real_slave_uri=real_slave_uri,
                 gateway_lease=lease,
             )
-            now = asyncio.get_event_loop().time()
-            record.created_at = now
-            record.last_seen = now
             try:
                 record.gateway_server = await self.gateway_factory(record)
             except Exception:
@@ -161,7 +152,6 @@ class Registry:
         record = self.get(caller_id)
         getattr(record, _kind_attr(kind)).add(name)
         self._cancel_grace(record)
-        record.last_seen = asyncio.get_event_loop().time()
         return record.refcount()
 
     def remove_registration(self, caller_id: str, kind: str, name: str) -> int:
@@ -206,6 +196,9 @@ class Registry:
             for record in list(self.nodes.values()):
                 if not record.purged:
                     await self._purge_locked(record)
+        # a grace purge that fired meanwhile finds its node gone; let it
+        # finish rather than leave it pending past shutdown
+        await asyncio.gather(*self._grace_tasks, return_exceptions=True)
 
     async def _purge_locked(self, record: NodeRecord) -> None:
         # Order matters: the gateway port must refuse before anything
@@ -232,7 +225,9 @@ class Registry:
 
         def fire():
             record._grace_timer = None
-            asyncio.ensure_future(self._grace_purge(record.caller_id))
+            task = asyncio.ensure_future(self._grace_purge(record.caller_id))
+            self._grace_tasks.add(task)
+            task.add_done_callback(self._grace_tasks.discard)
 
         record._grace_timer = loop.call_later(self.grace_period, fire)
         log.debug("node %s refcount 0; purge in %.1fs unless it re-registers",
@@ -262,19 +257,22 @@ class Registry:
         is 'ok', 'failed', or 'purged' (this ping hit the threshold)."""
 
         async def ping_one(record: NodeRecord):
-            client = XmlRpcClient(
-                record.real_slave_uri, timeout=self.rpc_timeout, dial=self.dial
+            response = await forward(
+                record.real_slave_uri, MethodCall("getPid", [PING_CALLER_ID]),
+                timeout=self.rpc_timeout, dial=self.dial,
+                target="node %s" % record.caller_id,
             )
             try:
-                result = await client.call_ros("getPid", [PING_CALLER_ID])
-                ok = result.code == 1
-            except (RpcTransportError, XmlRpcFaultError, ValueError):
+                ok = (
+                    isinstance(response, MethodSuccess)
+                    and RosResult.from_value(response.value).code == 1
+                )
+            except ValueError:
                 ok = False
             if record.purged:
                 return None
             if ok:
                 record.ping_failures = 0
-                record.last_seen = asyncio.get_event_loop().time()
                 return record.caller_id, "ok"
             record.ping_failures += 1
             log.warning("ping of %s (%s) failed (%d/%d)",

@@ -6,7 +6,8 @@ requestTopic, whose successful answer names the node's TCPROS socket —
 an address external peers cannot reach. For those we lease (or reuse) a
 relay and hand out the advertised host and relay port instead. All
 other methods, and any non-TCPROS protocol tuple, pass through
-untouched.
+unrewritten — though, like every call through http11.forward, decoded
+and re-encoded, so values survive but the exact bytes may not.
 
 A dedicated listener per node (rather than one shared server with
 per-node paths) is what makes a purged node's port *refuse TCP
@@ -18,19 +19,12 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from dataclasses import dataclass
 from typing import Optional
 
-from .http11 import (
-    Dialer,
-    RpcTransportError,
-    XmlRpcClient,
-    serve_xmlrpc,
-)
+from .http11 import Dialer, forward, serve_xmlrpc
 from .registry import NodeRecord, Registry, UnknownNode
 from .xmlrpc_codec import (
     FAULT_APP,
-    FAULT_TRANSPORT,
     MethodCall,
     MethodFault,
     MethodResponse,
@@ -41,31 +35,6 @@ from .xmlrpc_codec import (
 log = logging.getLogger(__name__)
 
 TCPROS = "TCPROS"
-
-
-@dataclass(frozen=True)
-class ProtocolParams:
-    """The (protocol, host, port) triple a publisher answers requestTopic with."""
-
-    protocol_name: str
-    host: str
-    port: int
-
-    @classmethod
-    def from_value(cls, value) -> "ProtocolParams":
-        if (
-            not isinstance(value, list)
-            or len(value) != 3
-            or not isinstance(value[0], str)
-            or not isinstance(value[1], str)
-            or isinstance(value[2], bool)
-            or not isinstance(value[2], int)
-        ):
-            raise ValueError("not a protocol params triple: %r" % (value,))
-        return cls(value[0], value[1], value[2])
-
-    def to_value(self) -> list:
-        return [self.protocol_name, self.host, self.port]
 
 
 class SlaveGatewayManager:
@@ -115,17 +84,10 @@ class SlaveGatewayManager:
         return await serve_xmlrpc(self.bind_host, record.gateway_lease.port, dispatch)
 
     async def handle_slave_call(self, record: NodeRecord, call: MethodCall) -> MethodResponse:
-        client = XmlRpcClient(
-            record.real_slave_uri, timeout=self.rpc_timeout, dial=self.dial
+        response = await forward(
+            record.real_slave_uri, call,
+            timeout=self.rpc_timeout, dial=self.dial, target="node %s" % record.caller_id,
         )
-        try:
-            response = await client.call(call.method_name, call.params)
-        except RpcTransportError as exc:
-            log.warning("forward of %s to %s failed: %s",
-                        call.method_name, record.real_slave_uri, exc)
-            return MethodFault(
-                FAULT_TRANSPORT, "node %s unreachable: %s" % (record.caller_id, exc)
-            )
         if call.method_name == "requestTopic" and isinstance(response, MethodSuccess):
             try:
                 return await self._rewrite_request_topic(record, response)
@@ -139,25 +101,33 @@ class SlaveGatewayManager:
         result = RosResult.from_value(response.value)  # ValueError if foreign shape
         if result.code != 1:
             return response
-        params = ProtocolParams.from_value(result.value)
-        if params.protocol_name != TCPROS:
+        # The (protocol, host, port) triple a TCPROS publisher answers with;
+        # any other shape or protocol passes through unrewritten.
+        params = result.value
+        if (
+            not isinstance(params, list)
+            or len(params) != 3
+            or params[0] != TCPROS
+            or not isinstance(params[1], str)
+            or isinstance(params[2], bool)
+            or not isinstance(params[2], int)
+        ):
             return response
+        _, host, port = params
         try:
-            relay = await self.registry.lease_relay(
-                record.caller_id, params.host, params.port
-            )
+            relay = await self.registry.lease_relay(record.caller_id, host, port)
         except UnknownNode:
             return MethodFault(FAULT_APP, "node %s is gone" % record.caller_id)
         except Exception as exc:  # Exhausted, BindFailed
             log.error("cannot relay %s:%d for %s: %s",
-                      params.host, params.port, record.caller_id, exc)
+                      host, port, record.caller_id, exc)
             return MethodFault(FAULT_APP, "cannot allocate relay: %s" % exc)
-        rewritten = ProtocolParams(
-            TCPROS, self.advertised_host, relay.port + self.host_port_offset
-        )
+        advertised_port = relay.port + self.host_port_offset
         log.debug("requestTopic for %s: %s:%d -> %s:%d",
-                  record.caller_id, params.host, params.port,
-                  rewritten.host, rewritten.port)
+                  record.caller_id, host, port, self.advertised_host, advertised_port)
         return MethodSuccess(
-            RosResult(result.code, result.status_message, rewritten.to_value()).to_value()
+            RosResult(
+                result.code, result.status_message,
+                [TCPROS, self.advertised_host, advertised_port],
+            ).to_value()
         )

@@ -1,6 +1,7 @@
 """Configuration parsing/validation and whole-app lifecycle tests."""
 
 import asyncio
+import dataclasses
 import os
 import signal
 import socket
@@ -11,6 +12,7 @@ from rosproxy.app import EXIT_FATAL, EXIT_OK, ProxyApp, run
 from rosproxy.config import ConfigError, ProxyConfig, load_config
 from rosproxy.http11 import XmlRpcClient, serve_xmlrpc
 from rosproxy.ports import PortRange
+from rosproxy.registry import KIND_PUB
 from rosproxy.xmlrpc_codec import MethodSuccess
 
 from helpers import free_port, free_range
@@ -139,6 +141,38 @@ async def test_app_start_serve_stop_releases_everything():
         with socket.socket() as probe:
             probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             probe.bind(("127.0.0.1", port))
+
+
+async def test_stop_during_grace_purge_leaves_no_task_or_lease():
+    """A grace purge that fires while stop() waits for the registry lock
+    is finished by stop(), not left pending behind it."""
+    upstream, uri = await start_upstream()
+    app = ProxyApp(dataclasses.replace(make_app_config(uri), purge_grace=0.01))
+    await app.start()
+    registry = app.registry
+    record = await registry.ensure_node("/talker", "http://127.0.0.1:1/")
+    registry.add_registration("/talker", KIND_PUB, "/chat")
+
+    async def hold_lock_until_grace_fires():
+        async with registry._lock:
+            # stop() queues on the lock right after closing the main port
+            while app.master_gateway._server is not None:
+                await asyncio.sleep(0.005)
+            registry.remove_registration("/talker", KIND_PUB, "/chat")
+            while record._grace_timer is not None:
+                await asyncio.sleep(0.005)
+            await asyncio.sleep(0.05)  # the grace purge queues behind stop()
+
+    holder = asyncio.ensure_future(hold_lock_until_grace_fires())
+    await asyncio.sleep(0)
+    try:
+        await app.stop()
+    finally:
+        upstream.close()
+        await upstream.wait_closed()
+    assert holder.done()
+    assert [t for t in asyncio.all_tasks() if t is not asyncio.current_task()] == []
+    assert app.allocator.live_leases() == []
 
 
 async def test_app_occupied_main_port_is_fatal_exit():

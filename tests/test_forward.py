@@ -1,0 +1,69 @@
+"""The one forward path: every way a relayed round trip can fail reaches
+the master gateway, a slave gateway and the pinger the same way."""
+
+import asyncio
+
+import pytest
+
+from rosproxy.xmlrpc_codec import FAULT_TRANSPORT, MethodCall, MethodFault
+
+from helpers import free_port
+from test_master_gateway import build_gateway
+
+FAILURES = ("refused", "timeout", "status", "unparseable")
+PATHS = ("master", "slave", "ping")
+RPC_TIMEOUT = 0.3
+
+
+async def start_broken_peer(failure):
+    """An XML-RPC endpoint that fails one way; returns (server, uri)."""
+    port = free_port()
+    uri = "http://127.0.0.1:%d/" % port
+    if failure == "refused":
+        return None, uri
+
+    async def on_conn(reader, writer):
+        await reader.readuntil(b"\r\n\r\n")
+        if failure == "timeout":
+            await reader.read()  # never answer; wait for the client to give up
+        elif failure == "status":
+            writer.write(b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n")
+        else:
+            writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 7\r\n\r\nnot xml")
+        writer.close()
+
+    return await asyncio.start_server(on_conn, "127.0.0.1", port), uri
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("failure", FAILURES)
+async def test_transport_failure_takes_the_one_forward_path(failure, path):
+    server, uri = await start_broken_peer(failure)
+    gateway, registry, manager, allocator = build_gateway(uri)
+    gateway.rpc_timeout = manager.rpc_timeout = registry.rpc_timeout = RPC_TIMEOUT
+    try:
+        if path == "master":
+            response = await gateway.handle_master_call(
+                MethodCall("getSystemState", ["/probe"]), None
+            )
+            assert isinstance(response, MethodFault)
+            assert response.code == FAULT_TRANSPORT
+            assert response.message.startswith("upstream master unreachable: ")
+        else:
+            record = await registry.ensure_node("/n", uri)
+            if path == "slave":
+                response = await manager.handle_slave_call(
+                    record, MethodCall("getPid", ["/probe"])
+                )
+                assert isinstance(response, MethodFault)
+                assert response.code == FAULT_TRANSPORT
+                assert response.message.startswith("node /n unreachable: ")
+            else:
+                assert await registry.ping_cycle() == [("/n", "failed")]
+                assert record.ping_failures == 1
+    finally:
+        await registry.purge_all()
+        if server is not None:
+            server.close()
+            await server.wait_closed()
+    assert allocator.live_leases() == []

@@ -1,5 +1,5 @@
 """HTTP/XML-RPC transport tests: server dispatch, client round trips,
-error statuses, keep-alive, and the dial/on_response hooks."""
+error statuses, keep-alive, the dial hook and the response size bound."""
 
 import asyncio
 
@@ -17,6 +17,7 @@ from rosproxy.http11 import (
     split_rosrpc_uri,
 )
 from rosproxy.xmlrpc_codec import (
+    MAX_MESSAGE_BYTES,
     MethodFault,
     MethodSuccess,
     RosResult,
@@ -230,9 +231,8 @@ async def test_timeout_is_transport_error():
         await server.wait_closed()
 
 
-async def test_dial_and_on_response_hooks_observe_traffic():
+async def test_dial_hook_observes_traffic():
     dials = []
-    seen = []
 
     async def dial(host, port):
         dials.append((host, port))
@@ -241,14 +241,43 @@ async def test_dial_and_on_response_hooks_observe_traffic():
     port = free_port()
     server = await serve_xmlrpc("127.0.0.1", port, echo_dispatch)
     try:
-        client = XmlRpcClient(
-            "http://127.0.0.1:%d/" % port,
-            dial=dial,
-            on_response=lambda host, p, raw: seen.append(raw),
-        )
-        await client.call("hello", [])
+        client = XmlRpcClient("http://127.0.0.1:%d/" % port, dial=dial)
+        assert await client.call("hello", []) == MethodSuccess(["hello", "/", []])
         assert dials == [("127.0.0.1", port)]
-        assert len(seen) == 1 and b"methodResponse" in seen[0]
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
+async def test_response_body_is_bounded():
+    """A response with no Content-Length is read to EOF, but no further
+    than MAX_MESSAGE_BYTES; a declared length past it is refused unread."""
+    sizes = iter((MAX_MESSAGE_BYTES, MAX_MESSAGE_BYTES + 1, None))
+
+    async def on_conn(reader, writer):
+        await reader.readuntil(b"\r\n\r\n")
+        size = next(sizes)
+        if size is None:
+            writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n"
+                         % (MAX_MESSAGE_BYTES + 1))
+        else:
+            writer.write(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n")
+            writer.write(b"x" * size)
+        try:
+            await writer.drain()
+        except ConnectionError:
+            pass  # the client hung up once it had read past the limit
+        writer.close()
+
+    port = free_port()
+    server = await asyncio.start_server(on_conn, "127.0.0.1", port)
+    try:
+        body = await http_post("127.0.0.1", port, "/", b"x", timeout=10.0)
+        assert len(body) == MAX_MESSAGE_BYTES
+        for _ in range(2):
+            with pytest.raises(RpcTransportError) as err:
+                await http_post("127.0.0.1", port, "/", b"x", timeout=10.0)
+            assert "over %d bytes" % MAX_MESSAGE_BYTES in str(err.value)
     finally:
         server.close()
         await server.wait_closed()

@@ -6,7 +6,12 @@ import asyncio
 import pytest
 
 from rosproxy.http11 import XmlRpcClient, serve_xmlrpc
-from rosproxy.master_gateway import BadSignature, MasterGateway, REWRITE_RULES
+from rosproxy.master_gateway import (
+    BadSignature,
+    MasterGateway,
+    REWRITE_RULES,
+    _check_signature,
+)
 from rosproxy.ports import PortAllocator, PortRange
 from rosproxy.registry import Registry
 from rosproxy.slave_gateway import SlaveGatewayManager
@@ -209,59 +214,46 @@ async def test_register_service_rewrites_both_apis_and_relays():
         await registry.purge_all()
 
 
+BAD_SIGNATURES = (
+    MethodCall("registerPublisher", ["/n", "/chat"]),
+    MethodCall("unregisterPublisher", ["/n", "/chat", "http://h:1/", "extra"]),
+    MethodCall("registerPublisher", [7, "/chat", "std_msgs/String", "http://h:1/"]),
+    MethodCall("registerSubscriber", ["/n", 7, "std_msgs/String", "http://h:1/"]),
+    MethodCall("unregisterSubscriber", ["/n", "/chat", 7]),
+    MethodCall("registerPublisher", ["/n", "/chat", "std_msgs/String", "nota uri"]),
+    MethodCall("registerPublisher", ["/n", "/chat", "std_msgs/String", "rosrpc://h:1"]),
+    MethodCall("registerService", ["/n", "/srv", 5, "http://h:1/"]),
+    MethodCall("registerService", ["/n", "/srv", "10.0.2.3:51234", "http://10.0.2.3:1/"]),
+    MethodCall("registerService", ["/n", "/s", "http://wrong-scheme:1/", "http://h:1/"]),
+    MethodCall("registerService", ["/n", "/s", "rosrpc://h", "http://h:1/"]),
+)
+
+
+def test_rewrite_helpers_raise_bad_signature_directly():
+    assert "getPid" not in REWRITE_RULES  # passes upstream unchecked
+    for call in BAD_SIGNATURES:
+        with pytest.raises(BadSignature):
+            _check_signature(call, REWRITE_RULES[call.method_name])
+    good = MethodCall(
+        "registerService", ["/n", "/s", "rosrpc://10.0.2.3:51234", "http://10.0.2.3:1/"]
+    )
+    assert _check_signature(good, REWRITE_RULES["registerService"]) == ("10.0.2.3", 51234)
+    publisher = MethodCall("registerPublisher", ["/n", "/chat", "std_msgs/String", "http://h:1/"])
+    assert _check_signature(publisher, REWRITE_RULES["registerPublisher"]) is None
+
+
 async def test_bad_signatures_become_param_faults():
     upstream, uri, calls = await start_upstream_stub()
-    gateway, registry, _, _ = build_gateway(uri)
+    gateway, registry, _, allocator = build_gateway(uri)
     try:
-        short = await gateway.handle_master_call(
-            MethodCall("registerPublisher", ["/n", "/chat"]), None
-        )
-        assert isinstance(short, MethodFault) and short.code == FAULT_BAD_PARAMS
-
-        bad_service = await gateway.handle_master_call(
-            MethodCall(
-                "registerService",
-                ["/n", "/srv", "10.0.2.3:51234", "http://10.0.2.3:1/"],
-            ),
-            None,
-        )
-        assert isinstance(bad_service, MethodFault)
-        assert bad_service.code == FAULT_BAD_PARAMS
-
-        not_http = await gateway.handle_master_call(
-            MethodCall(
-                "registerPublisher", ["/n", "/chat", "std_msgs/String", "nota uri"]
-            ),
-            None,
-        )
-        assert isinstance(not_http, MethodFault)
-        assert not_http.code == FAULT_BAD_PARAMS
+        for call in BAD_SIGNATURES:
+            response = await gateway.handle_master_call(call, None)
+            assert isinstance(response, MethodFault), call
+            assert response.code == FAULT_BAD_PARAMS, call
 
         assert calls == []  # nothing malformed reached upstream
-    finally:
-        upstream.close()
-        await upstream.wait_closed()
-        await registry.purge_all()
-
-
-async def test_rewrite_helpers_raise_bad_signature_directly():
-    upstream, uri, _ = await start_upstream_stub()
-    gateway, registry, _, _ = build_gateway(uri)
-    try:
-        record = await registry.ensure_node("/n", "http://10.0.2.3:1/")
-        with pytest.raises(BadSignature):
-            gateway.rewrite_caller_api(MethodCall("getPid", ["/n"]), record)
-        with pytest.raises(BadSignature):
-            gateway.rewrite_caller_api(
-                MethodCall("registerPublisher", ["/n", "/chat"]), record
-            )
-        with pytest.raises(BadSignature):
-            await gateway.rewrite_service_api(
-                MethodCall(
-                    "registerService", ["/n", "/s", "http://wrong-scheme:1/", "http://h:1/"]
-                ),
-                record,
-            )
+        assert registry.nodes == {}  # ...nor provisioned anything
+        assert allocator.live_leases() == []
     finally:
         upstream.close()
         await upstream.wait_closed()

@@ -3,12 +3,10 @@ relay reuse, and the advertised-URI construction."""
 
 import asyncio
 
-import pytest
-
 from rosproxy.http11 import XmlRpcClient, serve_xmlrpc
 from rosproxy.ports import PortAllocator, PortLease, PortRange, PURPOSE_SLAVE_API
 from rosproxy.registry import NodeRecord, Registry
-from rosproxy.slave_gateway import ProtocolParams, SlaveGatewayManager
+from rosproxy.slave_gateway import SlaveGatewayManager
 from rosproxy.xmlrpc_codec import (
     FAULT_TRANSPORT,
     MethodCall,
@@ -18,23 +16,6 @@ from rosproxy.xmlrpc_codec import (
 )
 
 from helpers import free_port, free_range, make_rng, random_rpc_value
-
-
-def test_protocol_params_shapes():
-    assert ProtocolParams.from_value(["TCPROS", "10.0.0.1", 59001]) == ProtocolParams(
-        "TCPROS", "10.0.0.1", 59001
-    )
-    assert ProtocolParams("TCPROS", "h", 1).to_value() == ["TCPROS", "h", 1]
-    for bad in (
-        ["TCPROS", "h"],
-        ["TCPROS", "h", "1"],
-        ["TCPROS", "h", True],
-        [1, "h", 2],
-        "TCPROS",
-        ["TCPROS", 7, 1],
-    ):
-        with pytest.raises(ValueError):
-            ProtocolParams.from_value(bad)
 
 
 def build_parts(advertised_host="127.0.0.1", offset=0, range_size=8, rpc_timeout=2.0):
@@ -207,6 +188,48 @@ async def test_unreachable_node_yields_transport_fault():
         assert response.code == FAULT_TRANSPORT
         assert "/gone" in response.message
     finally:
+        await registry.purge_all()
+
+
+async def test_protocol_params_shapes():
+    """Only a (TCPROS, str host, int port) triple is rewritten; every
+    other shape comes back as the node sent it, with no relay leased."""
+    foreign = (
+        ["TCPROS", "h"],
+        ["TCPROS", "h", "1"],
+        ["TCPROS", "h", True],
+        [1, "h", 2],
+        "TCPROS",
+        ["TCPROS", 7, 1],
+    )
+    shapes = {"/good": ["TCPROS", "127.0.0.1", 55003]}
+    shapes.update(("/foreign%d" % n, shape) for n, shape in enumerate(foreign))
+
+    async def dispatch(path, call, peer):
+        return MethodSuccess([1, "ok", shapes[call.params[1]]])
+
+    registry, manager, _ = build_parts()
+    port = free_port()
+    node = await serve_xmlrpc("127.0.0.1", port, dispatch)
+    try:
+        record = await registry.ensure_node("/talker", "http://127.0.0.1:%d/" % port)
+        for topic, shape in shapes.items():
+            if topic == "/good":
+                continue
+            response = await manager.handle_slave_call(
+                record, MethodCall("requestTopic", ["/s", topic, [["TCPROS"]]])
+            )
+            assert response == MethodSuccess([1, "ok", shape]), shape
+        assert record.tcpros_relays == {}
+
+        good = await manager.handle_slave_call(
+            record, MethodCall("requestTopic", ["/s", "/good", [["TCPROS"]]])
+        )
+        relay = record.tcpros_relays[("127.0.0.1", 55003)]
+        assert good == MethodSuccess([1, "ok", ["TCPROS", "127.0.0.1", relay.port]])
+    finally:
+        node.close()
+        await node.wait_closed()
         await registry.purge_all()
 
 
