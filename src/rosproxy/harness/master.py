@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
-from ..http11 import RpcTransportError, XmlRpcClient, serve_xmlrpc
+from ..http11 import RpcTransportError, XmlRpcClient, close_server, serve_xmlrpc
 from ..xmlrpc_codec import FAULT_APP, MethodCall, MethodFault, MethodSuccess
 from .dial import DialLog, PURPOSE_XMLRPC, make_dialer
 
@@ -87,8 +87,7 @@ class MiniMaster:
 
     async def stop(self) -> None:
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            await close_server(self._server)
             self._server = None
         for task in list(self._update_tasks):
             task.cancel()

@@ -21,6 +21,9 @@ from typing import List, Optional, Set
 from ..http11 import (
     RpcTransportError,
     XmlRpcClient,
+    close_server,
+    hang_up,
+    listen,
     serve_xmlrpc,
     split_rosrpc_uri,
 )
@@ -61,8 +64,7 @@ class _NodeBase:
 
     async def _close_server(self, server: Optional[asyncio.AbstractServer]) -> None:
         if server is not None:
-            server.close()
-            await server.wait_closed()
+            await close_server(server)
 
 
 class Talker(_NodeBase):
@@ -92,7 +94,7 @@ class Talker(_NodeBase):
 
     async def start(self) -> None:
         await self._start_slave(self._slave_dispatch)
-        self.data_server = await asyncio.start_server(self._serve_topic, self.host, 0)
+        self.data_server = await listen(self.host, 0, self._serve_topic)
         self.data_port = _server_port(self.data_server)
         result = await self.master_client().call_ros(
             "registerPublisher", [self.name, self.topic, self.topic_type, self.slave_uri]
@@ -149,11 +151,7 @@ class Talker(_NodeBase):
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             pass
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await hang_up(writer)
 
     async def stop(self, unregister: bool = True) -> None:
         if unregister:
@@ -325,7 +323,7 @@ class ServiceNode(_NodeBase):
 
     async def start(self) -> None:
         await self._start_slave(self._slave_dispatch)
-        self.data_server = await asyncio.start_server(self._serve_call, self.host, 0)
+        self.data_server = await listen(self.host, 0, self._serve_call)
         self.data_port = _server_port(self.data_server)
         result = await self.master_client().call_ros(
             "registerService", [self.name, self.service, self.service_api, self.slave_uri]
@@ -361,11 +359,7 @@ class ServiceNode(_NodeBase):
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             pass
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await hang_up(writer)
 
     async def stop(self, unregister: bool = True) -> None:
         if unregister:

@@ -96,9 +96,8 @@ def free_port_range(size: int) -> PortRange:
         socks = []
         try:
             for p in range(base, base + size):
-                s = socket.socket()
-                s.bind(("", p))
-                socks.append(s)
+                socks.append(socket.socket())
+                socks[-1].bind(("", p))
             return PortRange(base, base + size - 1)
         except OSError:
             continue

@@ -6,12 +6,16 @@ Clients open one connection per call. Servers require Content-Length;
 clients read a response without one to EOF. Neither side takes a body
 over MAX_MESSAGE_BYTES.
 Chunked transfer is out of scope for ROS peers.
+
+Every listener is built by listen and closed by close_server: closing a
+port aborts its connections instead of waiting on their peers.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
+import weakref
 from typing import Awaitable, Callable, Optional
 from urllib.parse import urlsplit
 
@@ -41,6 +45,53 @@ Dialer = Callable[[str, int], Awaitable[tuple]]
 
 class BindFailed(Exception):
     """A listener could not bind its port (occupied outside our control)."""
+
+
+connection_tasks = weakref.WeakKeyDictionary()  # listener -> its handler tasks
+
+
+async def listen(host: str, port: int, on_connection) -> asyncio.AbstractServer:
+    """Serve each connection with a task running on_connection(reader,
+    writer). The connection is aborted when its task ends, so a handler
+    whose peer must get the last bytes awaits hang_up first. Raises
+    BindFailed if the port cannot be bound."""
+    tasks = set()
+
+    def accept(reader, writer):
+        task = asyncio.ensure_future(on_connection(reader, writer))
+        tasks.add(task)
+        task.add_done_callback(lambda _: (tasks.discard(task), writer.transport.abort()))
+
+    try:
+        server = await asyncio.start_server(accept, host or None, port)
+    except OSError as exc:
+        raise BindFailed("cannot bind %s:%d: %s" % (host or "*", port, exc)) from exc
+    connection_tasks[server] = tasks
+    return server
+
+
+async def close_server(server: asyncio.AbstractServer) -> None:
+    """Stop accepting, then cancel and await every connection's handler,
+    also one a connection accepted just before close adds late."""
+    server.close()
+    tasks = connection_tasks.get(server, ())
+    while not all(task.done() for task in tasks):
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+    await server.wait_closed()
+
+
+async def hang_up(*writers) -> None:
+    """Close the connections, so their peers get the bytes still buffered,
+    and wait until they are closed."""
+    for writer in writers:
+        writer.close()
+    for writer in writers:
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
 
 
 class RpcTransportError(Exception):
@@ -163,17 +214,9 @@ async def serve_http(
                     break
         except (asyncio.IncompleteReadError, ConnectionError, ValueError, TimeoutError):
             pass  # broken peer; drop the connection, keep serving others
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        await hang_up(writer)
 
-    try:
-        return await asyncio.start_server(on_connection, host or None, port)
-    except OSError as exc:
-        raise BindFailed("cannot bind %s:%d: %s" % (host or "*", port, exc)) from exc
+    return await listen(host, port, on_connection)
 
 
 def serve_xmlrpc(
@@ -260,12 +303,11 @@ async def http_post(
             if status != 200:
                 raise RpcTransportError("HTTP status %d" % status)
             return payload
+        except asyncio.CancelledError:
+            writer.transport.abort()  # timed out or the caller went away
+            raise
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await hang_up(writer)
 
     try:
         return await asyncio.wait_for(roundtrip(), timeout)

@@ -27,6 +27,7 @@ from urllib.parse import unquote
 
 from .http11 import (
     Dialer,
+    close_server,
     forward,
     serve_xmlrpc,
     split_http_uri,
@@ -137,8 +138,7 @@ class MasterGateway:
 
     async def stop(self) -> None:
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            await close_server(self._server)
             self._server = None
 
     async def _dispatch(self, path: str, call: MethodCall, peer) -> MethodResponse:

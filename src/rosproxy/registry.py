@@ -18,11 +18,12 @@ leaving a probe-ably dead entry.
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
-from .http11 import Dialer, forward
+from .http11 import Dialer, close_server, forward
 from .ports import PortAllocator, PortLease, PURPOSE_SLAVE_API, PURPOSE_TCPROS
 from .relay import RelayHandle, close_relay, open_relay
 from .xmlrpc_codec import MethodCall, MethodSuccess, RosResult
@@ -79,6 +80,14 @@ class NodeRecord:
 GatewayFactory = Callable[[NodeRecord], Awaitable[asyncio.AbstractServer]]
 
 
+def _shielded(change):
+    """Run a registry change to the end even if its caller is cancelled, as
+    a closing port's handlers are, so no change is left half done."""
+    async def run(*args):
+        return await asyncio.shield(change(*args))
+    return functools.wraps(change)(run)
+
+
 class Registry:
     """The shared node map; all mutation goes through one lock."""
 
@@ -114,6 +123,7 @@ class Registry:
 
     # -- lifecycle ---------------------------------------------------
 
+    @_shielded
     async def ensure_node(self, caller_id: str, real_slave_uri: str) -> NodeRecord:
         """Get-or-create the record for caller_id.
 
@@ -163,6 +173,7 @@ class Registry:
             self._start_grace(record)
         return remaining
 
+    @_shielded
     async def lease_relay(self, caller_id: str, target_host: str, target_port: int) -> RelayHandle:
         """Open (or reuse) a relay owned by caller_id toward target."""
         async with self._lock:
@@ -184,6 +195,7 @@ class Registry:
             record.tcpros_relays[key] = handle
             return handle
 
+    @_shielded
     async def purge_node(self, caller_id: str) -> None:
         async with self._lock:
             record = self.nodes.get(caller_id)
@@ -205,9 +217,7 @@ class Registry:
         # else is released, and the record leaves the map last.
         record.purged = True
         self._cancel_grace(record)
-        if record.gateway_server is not None:
-            record.gateway_server.close()
-            await record.gateway_server.wait_closed()
+        await close_server(record.gateway_server)
         for handle in list(record.tcpros_relays.values()):
             await close_relay(handle)
             self.allocator.release(handle.lease)

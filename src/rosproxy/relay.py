@@ -10,6 +10,9 @@ versions).
 Half-closes are propagated: when one side sends EOF the relay forwards
 the EOF (write_eof) and keeps the opposite direction flowing, which is
 what request/response protocols over raw TCP expect.
+
+Closing a relay closes its port like every port (http11.close_server):
+its connections, and the ones they dialed, are aborted, not drained.
 """
 
 from __future__ import annotations
@@ -17,15 +20,14 @@ from __future__ import annotations
 import asyncio
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Set
+from typing import Optional
 
-from .http11 import BindFailed, Dialer
+from .http11 import Dialer, close_server, connection_tasks, hang_up, listen
 from .ports import PortLease
 
 log = logging.getLogger(__name__)
 
 COPY_CHUNK = 64 * 1024
-CLOSE_GRACE = 1.0  # seconds to let in-flight connections die on close
 
 
 @dataclass
@@ -41,14 +43,13 @@ class RelayHandle:
     bytes_in: int = 0   # client -> target
     bytes_out: int = 0  # target -> client
     closed: bool = False
-    _conn_tasks: Set[asyncio.Task] = field(default_factory=set, repr=False)
 
     @property
     def port(self) -> int:
         return self.lease.port
 
     def connection_count(self) -> int:
-        return len(self._conn_tasks)
+        return len(connection_tasks[self.server])
 
 
 async def _pump(reader, writer, handle: RelayHandle, inbound: bool) -> None:
@@ -75,43 +76,26 @@ async def _serve_connection(
 ) -> None:
     handle.accepted_total += 1
     try:
-        if dial is not None:
-            target_reader, target_writer = await dial(handle.target_host, handle.target_port)
-        else:
-            target_reader, target_writer = await asyncio.open_connection(
-                handle.target_host, handle.target_port
-            )
+        target_reader, target_writer = await (dial or asyncio.open_connection)(
+            handle.target_host, handle.target_port
+        )
     except (ConnectionError, OSError) as exc:
         # Target gone: the honest translation is to hang up promptly.
         log.debug("relay :%d target %s:%d refused: %s",
                   handle.port, handle.target_host, handle.target_port, exc)
-        client_writer.close()
-        try:
-            await client_writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        await hang_up(client_writer)
         return
-
-    pumps = (
-        asyncio.ensure_future(_pump(client_reader, target_writer, handle, inbound=True)),
-        asyncio.ensure_future(_pump(target_reader, client_writer, handle, inbound=False)),
-    )
+    # the dialed connection ends with this task, as listen ends the accepted one
+    asyncio.current_task().add_done_callback(lambda _: target_writer.transport.abort())
     try:
-        await asyncio.gather(*pumps)
+        await asyncio.gather(
+            _pump(client_reader, target_writer, handle, inbound=True),
+            _pump(target_reader, client_writer, handle, inbound=False),
+        )
     except (ConnectionError, OSError, asyncio.IncompleteReadError):
         # One leg broke: abort both so neither peer waits on a dead pipe.
-        pass
-    finally:
-        for task in pumps:
-            task.cancel()
-        await asyncio.gather(*pumps, return_exceptions=True)
-        for w in (client_writer, target_writer):
-            w.close()
-        for w in (client_writer, target_writer):
-            try:
-                await w.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        return
+    await hang_up(client_writer, target_writer)
 
 
 async def open_relay(
@@ -130,36 +114,16 @@ async def open_relay(
         target_port=target_port,
     )
 
-    def on_connection(reader, writer):
-        if handle.closed:
-            writer.close()
-            return
-        task = asyncio.ensure_future(_serve_connection(reader, writer, handle, dial))
-        handle._conn_tasks.add(task)
-        task.add_done_callback(handle._conn_tasks.discard)
-
-    try:
-        handle.server = await asyncio.start_server(on_connection, bind_host or None, lease.port)
-    except OSError as exc:
-        raise BindFailed("cannot bind relay %s:%d: %s" % (bind_host or "*", lease.port, exc)) from exc
+    handle.server = await listen(
+        bind_host, lease.port,
+        lambda reader, writer: _serve_connection(reader, writer, handle, dial),
+    )
     log.debug("relay up: %s:%d -> %s:%d", bind_host, lease.port, target_host, target_port)
     return handle
 
 
 async def close_relay(handle: RelayHandle) -> None:
-    """Stop accepting, tear down in-flight connections, idempotent."""
-    if handle.closed:
-        return
+    """Stop accepting and abort in-flight connections; idempotent."""
     handle.closed = True
-    if handle.server is not None:
-        handle.server.close()
-        await handle.server.wait_closed()
-    tasks = list(handle._conn_tasks)
-    for task in tasks:
-        task.cancel()
-    if tasks:
-        _, pending = await asyncio.wait(tasks, timeout=CLOSE_GRACE)
-        for _task in pending:  # pragma: no cover - defensive
-            log.warning("relay :%d connection refused to die within %.1fs",
-                        handle.port, CLOSE_GRACE)
+    await close_server(handle.server)
     log.debug("relay down: %s:%d", handle.bind_host, handle.port)

@@ -78,9 +78,8 @@ def free_range(size, host="127.0.0.1"):
         socks = []
         try:
             for p in range(base, base + size):
-                s = socket.socket()
-                s.bind((host, p))
-                socks.append(s)
+                socks.append(socket.socket())
+                socks[-1].bind((host, p))
             return base, base + size - 1
         except OSError:
             continue

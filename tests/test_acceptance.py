@@ -337,6 +337,7 @@ async def test_criterion_4_relay_transparency():
             writer.write_eof()
         except OSError:
             pass
+        writer.close()
 
     echo = await asyncio.start_server(echo_server, "127.0.0.1", 0)
     echo_port = echo.sockets[0].getsockname()[1]

@@ -10,12 +10,12 @@ import pytest
 
 from rosproxy.app import EXIT_FATAL, EXIT_OK, ProxyApp, run
 from rosproxy.config import ConfigError, ProxyConfig, load_config
-from rosproxy.http11 import XmlRpcClient, serve_xmlrpc
+from rosproxy.http11 import RpcTransportError, XmlRpcClient, serve_xmlrpc
 from rosproxy.ports import PortRange
 from rosproxy.registry import KIND_PUB
 from rosproxy.xmlrpc_codec import MethodSuccess
 
-from helpers import free_port, free_range
+from helpers import free_port, free_range, poll_until
 
 
 def test_env_parsing_and_defaults():
@@ -173,6 +173,36 @@ async def test_stop_during_grace_purge_leaves_no_task_or_lease():
     assert holder.done()
     assert [t for t in asyncio.all_tasks() if t is not asyncio.current_task()] == []
     assert app.allocator.live_leases() == []
+
+
+async def test_stop_during_registration_leaves_no_lease():
+    """stop() cancels the main port's in-flight calls; a registration
+    that was provisioning its gateway still completes, and is purged."""
+    upstream, uri = await start_upstream()
+    app = ProxyApp(make_app_config(uri))
+    start_gateway = app.registry.gateway_factory
+
+    async def slow_gateway(record):
+        await asyncio.sleep(0.2)
+        return await start_gateway(record)
+
+    app.registry.gateway_factory = slow_gateway
+    await app.start()
+    client = XmlRpcClient("http://127.0.0.1:%d/" % app.config.main_port, timeout=2.0)
+    call = asyncio.ensure_future(client.call_ros(
+        "registerPublisher", ["/talker", "/chat", "std_msgs/String", "http://127.0.0.1:1/"]
+    ))
+    await poll_until(lambda: app.allocator.live_leases())
+    try:
+        await app.stop()
+    finally:
+        upstream.close()
+        await upstream.wait_closed()
+    with pytest.raises(RpcTransportError):
+        await call
+    assert app.allocator.live_leases() == []
+    assert app.registry.nodes == {}
+    assert [t for t in asyncio.all_tasks() if t is not asyncio.current_task()] == []
 
 
 async def test_app_occupied_main_port_is_fatal_exit():

@@ -218,7 +218,11 @@ async def test_connect_refused_is_transport_error():
 
 async def test_timeout_is_transport_error():
     async def on_conn(reader, writer):
-        await asyncio.sleep(30)
+        try:
+            await reader.read()  # silent until the client hangs up
+        except (ConnectionError, OSError):
+            pass
+        writer.close()
 
     port = free_port()
     server = await asyncio.start_server(on_conn, "127.0.0.1", port)
