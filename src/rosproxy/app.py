@@ -12,7 +12,7 @@ from .config import ProxyConfig
 from .http11 import BindFailed, Dialer
 from .master_gateway import MasterGateway
 from .ports import PortAllocator
-from .registry import PingPolicy, Registry
+from .registry import Registry
 from .slave_gateway import SlaveGatewayManager
 
 log = logging.getLogger(__name__)
@@ -37,10 +37,8 @@ class ProxyApp:
             gateway_factory,
             bind_host=config.bind_host,
             grace_period=config.purge_grace,
-            ping_policy=PingPolicy(
-                interval=config.ping_interval,
-                failure_threshold=config.ping_failure_threshold,
-            ),
+            ping_interval=config.ping_interval,
+            ping_failure_threshold=config.ping_failure_threshold,
             rpc_timeout=config.request_timeout,
             dial=dial,
         )
@@ -48,18 +46,12 @@ class ProxyApp:
             self.registry,
             config.advertised_host,
             host_port_offset=config.host_port_offset,
-            bind_host=config.bind_host,
-            rpc_timeout=config.request_timeout,
-            dial=dial,
         )
         self.master_gateway = MasterGateway(
             self.registry,
             self.slave_gateways,
             config.upstream_master_uri,
             main_port=config.main_port,
-            bind_host=config.bind_host,
-            rpc_timeout=config.request_timeout,
-            dial=dial,
         )
         self._ping_task: Optional[asyncio.Task] = None
         self._started = False

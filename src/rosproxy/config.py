@@ -1,110 +1,28 @@
 """Process configuration: defaults < environment < flags.
 
-Environment variables carry the ROSPROXY_ prefix; flags are their
-kebab-case twins. Validation failures raise ConfigError naming the
-offending key, so a bad deployment dies with a message that says which
-knob to fix.
+Every user setting is one row of SETTINGS: its ProxyConfig field, its
+flag, its key in echo_lines(), its default, its parser and its help
+text. The environment variable is ROSPROXY_ plus the flag in upper snake
+case (--port-range is ROSPROXY_PORT_RANGE). The flags, the environment
+lookup, the echo lines and ProxyConfig's fields are all built from that
+table. Validation failures raise ConfigError naming the offending key,
+so a bad deployment dies with a message that says which knob to fix.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
-from typing import List, Mapping, Optional
+from dataclasses import dataclass, field, make_dataclass
+from typing import Callable, List, Mapping, Optional
 
 from .http11 import split_http_uri
 from .ports import PortRange
-
-DEFAULT_MAIN_PORT = 11311
-DEFAULT_PORT_RANGE = "30000-30099"
-DEFAULT_PING_INTERVAL = 10.0
-DEFAULT_PING_FAILURES = 3
-DEFAULT_PURGE_GRACE = 30.0
-DEFAULT_REQUEST_TIMEOUT = 5.0
-DEFAULT_LOG_LEVEL = "info"
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class ProxyConfig:
-    upstream_master_uri: str
-    advertised_host: str
-    main_port: int = DEFAULT_MAIN_PORT
-    port_range: PortRange = field(
-        default_factory=lambda: _parse_range(DEFAULT_PORT_RANGE, "default")
-    )
-    host_port_offset: int = 0
-    ping_interval: float = DEFAULT_PING_INTERVAL
-    ping_failure_threshold: int = DEFAULT_PING_FAILURES
-    purge_grace: float = DEFAULT_PURGE_GRACE
-    request_timeout: float = DEFAULT_REQUEST_TIMEOUT
-    log_level: str = DEFAULT_LOG_LEVEL
-    bind_host: str = ""  # internal knob; harness binds loopback aliases
-
-    def validate(self) -> "ProxyConfig":
-        key = "ROSPROXY_MASTER_URI/--master-uri"
-        if not self.upstream_master_uri:
-            raise ConfigError("%s is required" % key)
-        try:
-            split_http_uri(self.upstream_master_uri)
-        except ValueError as exc:
-            raise ConfigError("%s: %s" % (key, exc))
-        if not self.advertised_host:
-            raise ConfigError("ROSPROXY_ADVERTISED_HOST/--advertised-host is required")
-        if not 1 <= self.main_port <= 65535:
-            raise ConfigError("ROSPROXY_PORT/--port: %d out of range" % self.main_port)
-        if self.port_range.size < 2:
-            raise ConfigError(
-                "ROSPROXY_PORT_RANGE/--port-range: need at least 2 ports "
-                "(one gateway + one relay), got %d" % self.port_range.size
-            )
-        if self.main_port in self.port_range:
-            raise ConfigError(
-                "ROSPROXY_PORT/--port: %d lies inside the leased range %s"
-                % (self.main_port, self.port_range)
-            )
-        mapped_low = self.port_range.low + self.host_port_offset
-        mapped_high = self.port_range.high + self.host_port_offset
-        if mapped_low < 1024 or mapped_high > 65535:
-            raise ConfigError(
-                "ROSPROXY_HOST_PORT_OFFSET/--host-port-offset: %d maps %s to "
-                "%d-%d, outside 1024-65535"
-                % (self.host_port_offset, self.port_range, mapped_low, mapped_high)
-            )
-        if self.ping_interval <= 0:
-            raise ConfigError("ROSPROXY_PING_INTERVAL/--ping-interval must be > 0")
-        if self.ping_failure_threshold < 1:
-            raise ConfigError("ROSPROXY_PING_FAILURES/--ping-failures must be >= 1")
-        if self.purge_grace < 0:
-            raise ConfigError("ROSPROXY_PURGE_GRACE/--purge-grace must be >= 0")
-        if self.request_timeout <= 0:
-            raise ConfigError("ROSPROXY_REQUEST_TIMEOUT/--request-timeout must be > 0")
-        if self.log_level not in LOG_LEVELS:
-            raise ConfigError(
-                "ROSPROXY_LOG_LEVEL/--log-level: %r not one of %s"
-                % (self.log_level, "/".join(LOG_LEVELS))
-            )
-        return self
-
-    def echo_lines(self) -> List[str]:
-        """The effective configuration as grep-friendly key=value lines."""
-        return [
-            "master_uri=%s" % self.upstream_master_uri,
-            "advertised_host=%s" % self.advertised_host,
-            "main_port=%d" % self.main_port,
-            "port_range=%s" % self.port_range,
-            "host_port_offset=%d" % self.host_port_offset,
-            "ping_interval=%g" % self.ping_interval,
-            "ping_failures=%d" % self.ping_failure_threshold,
-            "purge_grace=%g" % self.purge_grace,
-            "request_timeout=%g" % self.request_timeout,
-            "log_level=%s" % self.log_level,
-        ]
 
 
 def _parse_range(text: str, key: str) -> PortRange:
@@ -131,74 +49,154 @@ def _parse_float(text: str, key: str) -> float:
         raise ConfigError("%s: expected a number, got %r" % (key, text))
 
 
+def _parse_text(text: str, key: str) -> str:
+    return text
+
+
+def _parse_level(text: str, key: str) -> str:
+    return text.lower()
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One user setting, declared once; see the module docstring."""
+
+    field: str
+    flag: str  # without the leading --
+    echo: str  # key of its echo_lines() line
+    default: Optional[str]  # as it would be typed; None: required
+    parse: Callable[[str, str], object]  # (text, key) -> value
+    help: str
+
+    @property
+    def env(self) -> str:
+        return "ROSPROXY_" + self.flag.upper().replace("-", "_")
+
+    @property
+    def key(self) -> str:
+        """How a ConfigError names this setting."""
+        return "%s/--%s" % (self.env, self.flag)
+
+    def show(self, value) -> str:
+        return ("%g" if self.parse is _parse_float else "%s") % (value,)
+
+
+SETTINGS = (
+    Setting("upstream_master_uri", "master-uri", "master_uri", None, _parse_text,
+            "upstream master URI (http://host:port/)"),
+    Setting("advertised_host", "advertised-host", "advertised_host", None, _parse_text,
+            "hostname/IP external peers can reach"),
+    Setting("main_port", "port", "main_port", "11311", _parse_int, "main gateway port"),
+    Setting("port_range", "port-range", "port_range", "30000-30099", _parse_range,
+            "leased range LOW-HIGH"),
+    Setting("host_port_offset", "host-port-offset", "host_port_offset", "0", _parse_int,
+            "advertised = bound + offset"),
+    Setting("ping_interval", "ping-interval", "ping_interval", "10", _parse_float,
+            "seconds between liveness pings"),
+    Setting("ping_failure_threshold", "ping-failures", "ping_failures", "3", _parse_int,
+            "failed pings before purge"),
+    Setting("purge_grace", "purge-grace", "purge_grace", "30", _parse_float,
+            "seconds at refcount 0 before purge"),
+    Setting("request_timeout", "request-timeout", "request_timeout", "5", _parse_float,
+            "seconds per forwarded call"),
+    Setting("log_level", "log-level", "log_level", "info", _parse_level, "|".join(LOG_LEVELS)),
+)
+
+_BY_FIELD = {setting.field: setting for setting in SETTINGS}
+
+
+def _error(field_name: str, message: str) -> ConfigError:
+    return ConfigError(_BY_FIELD[field_name].key + message)
+
+
+class _ProxyConfigMethods:
+    """The methods of ProxyConfig, whose fields are made from SETTINGS."""
+
+    def validate(self) -> "ProxyConfig":
+        if not self.upstream_master_uri:
+            raise _error("upstream_master_uri", " is required")
+        try:
+            split_http_uri(self.upstream_master_uri)
+        except ValueError as exc:
+            raise _error("upstream_master_uri", ": %s" % exc)
+        if not self.advertised_host:
+            raise _error("advertised_host", " is required")
+        if not 1 <= self.main_port <= 65535:
+            raise _error("main_port", ": %d out of range" % self.main_port)
+        if self.port_range.size < 2:
+            raise _error(
+                "port_range",
+                ": need at least 2 ports (one gateway + one relay), got %d"
+                % self.port_range.size,
+            )
+        if self.main_port in self.port_range:
+            raise _error(
+                "main_port",
+                ": %d lies inside the leased range %s" % (self.main_port, self.port_range),
+            )
+        mapped_low = self.port_range.low + self.host_port_offset
+        mapped_high = self.port_range.high + self.host_port_offset
+        if mapped_low < 1024 or mapped_high > 65535:
+            raise _error(
+                "host_port_offset",
+                ": %d maps %s to %d-%d, outside 1024-65535"
+                % (self.host_port_offset, self.port_range, mapped_low, mapped_high),
+            )
+        if self.ping_interval <= 0:
+            raise _error("ping_interval", " must be > 0")
+        if self.ping_failure_threshold < 1:
+            raise _error("ping_failure_threshold", " must be >= 1")
+        if self.purge_grace < 0:
+            raise _error("purge_grace", " must be >= 0")
+        if self.request_timeout <= 0:
+            raise _error("request_timeout", " must be > 0")
+        if self.log_level not in LOG_LEVELS:
+            raise _error(
+                "log_level", ": %r not one of %s" % (self.log_level, "/".join(LOG_LEVELS))
+            )
+        return self
+
+    def echo_lines(self) -> List[str]:
+        """The effective configuration as grep-friendly key=value lines."""
+        return [
+            "%s=%s" % (s.echo, s.show(getattr(self, s.field))) for s in SETTINGS
+        ]
+
+
+def _config_field(setting: Setting) -> tuple:
+    if setting.default is None:
+        return setting.field, str
+    value = setting.parse(setting.default, setting.key)
+    return setting.field, type(value), field(default=value)
+
+
+# One field per setting, in table order, then bind_host: an internal knob
+# with no flag; the harness binds loopback aliases.
+ProxyConfig = make_dataclass(
+    "ProxyConfig",
+    [_config_field(s) for s in SETTINGS] + [("bind_host", str, field(default=""))],
+    bases=(_ProxyConfigMethods,),
+)
+ProxyConfig.__module__ = __name__  # make_dataclass sets it itself only from 3.12
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rosproxy",
         description="Registration-rewriting proxy joining isolated nodes to an external graph",
     )
-    parser.add_argument("--master-uri", help="upstream master URI (http://host:port/)")
-    parser.add_argument("--advertised-host", help="hostname/IP external peers can reach")
-    parser.add_argument("--port", help="main gateway port (default %d)" % DEFAULT_MAIN_PORT)
-    parser.add_argument("--port-range", help="leased range LOW-HIGH (default %s)" % DEFAULT_PORT_RANGE)
-    parser.add_argument("--host-port-offset", help="advertised = bound + offset (default 0)")
-    parser.add_argument("--ping-interval", help="seconds between liveness pings (default %g)" % DEFAULT_PING_INTERVAL)
-    parser.add_argument("--ping-failures", help="failed pings before purge (default %d)" % DEFAULT_PING_FAILURES)
-    parser.add_argument("--purge-grace", help="seconds at refcount 0 before purge (default %g)" % DEFAULT_PURGE_GRACE)
-    parser.add_argument("--request-timeout", help="seconds per forwarded call (default %g)" % DEFAULT_REQUEST_TIMEOUT)
-    parser.add_argument("--log-level", help="debug|info|warning|error (default %s)" % DEFAULT_LOG_LEVEL)
+    for s in SETTINGS:
+        default = "" if s.default is None else " (default %s)" % s.default
+        parser.add_argument("--" + s.flag, help=s.help + default)
     return parser
 
 
 def load_config(env: Mapping[str, str], argv: Optional[List[str]] = None) -> ProxyConfig:
-    args = build_arg_parser().parse_args(argv or [])
-
-    def pick(flag_value, env_name, default):
-        if flag_value is not None:
-            return flag_value
-        value = env.get(env_name)
-        return value if value not in (None, "") else default
-
-    master_uri = pick(args.master_uri, "ROSPROXY_MASTER_URI", "")
-    advertised = pick(args.advertised_host, "ROSPROXY_ADVERTISED_HOST", "")
-    main_port = _parse_int(
-        pick(args.port, "ROSPROXY_PORT", str(DEFAULT_MAIN_PORT)),
-        "ROSPROXY_PORT/--port",
-    )
-    port_range = _parse_range(
-        pick(args.port_range, "ROSPROXY_PORT_RANGE", DEFAULT_PORT_RANGE),
-        "ROSPROXY_PORT_RANGE/--port-range",
-    )
-    offset = _parse_int(
-        pick(args.host_port_offset, "ROSPROXY_HOST_PORT_OFFSET", "0"),
-        "ROSPROXY_HOST_PORT_OFFSET/--host-port-offset",
-    )
-    interval = _parse_float(
-        pick(args.ping_interval, "ROSPROXY_PING_INTERVAL", str(DEFAULT_PING_INTERVAL)),
-        "ROSPROXY_PING_INTERVAL/--ping-interval",
-    )
-    failures = _parse_int(
-        pick(args.ping_failures, "ROSPROXY_PING_FAILURES", str(DEFAULT_PING_FAILURES)),
-        "ROSPROXY_PING_FAILURES/--ping-failures",
-    )
-    grace = _parse_float(
-        pick(args.purge_grace, "ROSPROXY_PURGE_GRACE", str(DEFAULT_PURGE_GRACE)),
-        "ROSPROXY_PURGE_GRACE/--purge-grace",
-    )
-    timeout = _parse_float(
-        pick(args.request_timeout, "ROSPROXY_REQUEST_TIMEOUT", str(DEFAULT_REQUEST_TIMEOUT)),
-        "ROSPROXY_REQUEST_TIMEOUT/--request-timeout",
-    )
-    level = pick(args.log_level, "ROSPROXY_LOG_LEVEL", DEFAULT_LOG_LEVEL).lower()
-
-    return ProxyConfig(
-        upstream_master_uri=master_uri,
-        advertised_host=advertised,
-        main_port=main_port,
-        port_range=port_range,
-        host_port_offset=offset,
-        ping_interval=interval,
-        ping_failure_threshold=failures,
-        purge_grace=grace,
-        request_timeout=timeout,
-        log_level=level,
-    ).validate()
+    args = vars(build_arg_parser().parse_args(argv or []))
+    values = {}
+    for s in SETTINGS:
+        text = args[s.flag.replace("-", "_")]
+        if text is None:
+            text = env.get(s.env) or s.default or ""
+        values[s.field] = s.parse(text, s.key)
+    return ProxyConfig(**values).validate()

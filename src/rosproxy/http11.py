@@ -163,8 +163,6 @@ async def serve_http(
     host: str,
     port: int,
     handler: Callable[[str, bytes, tuple], Awaitable[tuple]],
-    *,
-    max_body: int = MAX_MESSAGE_BYTES,
 ) -> asyncio.AbstractServer:
     """Serve POST requests; handler(path, body, peer) returns (status, body).
 
@@ -199,7 +197,7 @@ async def serve_http(
                     writer.write(_http_response(411, b"", False))
                     break
                 length = int(length_text)
-                if length > max_body:
+                if length > MAX_MESSAGE_BYTES:
                     writer.write(_http_response(413, b"", False))
                     break
                 body = await reader.readexactly(length) if length else b""
@@ -223,15 +221,13 @@ def serve_xmlrpc(
     host: str,
     port: int,
     dispatch: Callable[[str, MethodCall, tuple], Awaitable[MethodResponse]],
-    *,
-    max_body: int = MAX_MESSAGE_BYTES,
 ):
     """XML-RPC layer over serve_http: parse errors yield 400, handler
     exceptions become application faults."""
 
     async def handler(path, body, peer):
         try:
-            call = parse_call(body, max_bytes=max_body)
+            call = parse_call(body)
         except CodecError as exc:
             return 400, str(exc).encode()
         try:
@@ -241,7 +237,7 @@ def serve_xmlrpc(
             response = MethodFault(FAULT_APP, "internal error: %s" % exc)
         return 200, encode_response(response)
 
-    return serve_http(host, port, handler, max_body=max_body)
+    return serve_http(host, port, handler)
 
 
 async def _read_body(reader, length_text: Optional[str], limit: int) -> bytes:

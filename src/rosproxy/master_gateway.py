@@ -26,7 +26,6 @@ from typing import Optional
 from urllib.parse import unquote
 
 from .http11 import (
-    Dialer,
     close_server,
     forward,
     serve_xmlrpc,
@@ -109,6 +108,12 @@ def _check_signature(call: MethodCall, rule: RewriteRule) -> Optional[tuple]:
 
 
 class MasterGateway:
+    """The main port: rewrites registrations, forwards the rest upstream.
+
+    It binds to, and forwards with the timeout and dialer of, the registry
+    (Registry.bind_host, rpc_timeout and dial), as the slave gateways do.
+    """
+
     def __init__(
         self,
         registry: Registry,
@@ -116,25 +121,19 @@ class MasterGateway:
         upstream_master_uri: str,
         *,
         main_port: int = 11311,
-        bind_host: str = "",
-        rpc_timeout: float = 5.0,
-        dial: Optional[Dialer] = None,
     ):
         self.registry = registry
         self.slave_gateways = slave_gateways
         self.upstream_master_uri = upstream_master_uri
         self.main_port = main_port
-        self.bind_host = bind_host
-        self.rpc_timeout = rpc_timeout
-        self.dial = dial
         self._server: Optional[asyncio.AbstractServer] = None
 
     # -- lifecycle ---------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await serve_xmlrpc(self.bind_host, self.main_port, self._dispatch)
+        self._server = await serve_xmlrpc(self.registry.bind_host, self.main_port, self._dispatch)
         log.info("master gateway listening on %s:%d, upstream %s",
-                 self.bind_host or "*", self.main_port, self.upstream_master_uri)
+                 self.registry.bind_host or "*", self.main_port, self.upstream_master_uri)
 
     async def stop(self) -> None:
         if self._server is not None:
@@ -175,6 +174,7 @@ class MasterGateway:
                 return MethodFault(FAULT_APP, "node vanished during handling: %s" % exc)
             except Exception as exc:  # Exhausted, BindFailed
                 log.error("cannot provision %s for %s: %s", call.method_name, caller_id, exc)
+                await self.registry.purge_if_idle(caller_id)  # else a new record keeps its lease
                 return MethodFault(FAULT_APP, "cannot provision node resources: %s" % exc)
 
             name = params[rule.name_index]
@@ -186,8 +186,8 @@ class MasterGateway:
             call = MethodCall(call.method_name, params)
 
         return await forward(
-            self.upstream_master_uri, call,
-            timeout=self.rpc_timeout, dial=self.dial, target="upstream master",
+            self.upstream_master_uri, call, timeout=self.registry.rpc_timeout,
+            dial=self.registry.dial, target="upstream master",
         )
 
     async def _node_for(self, caller_id: str, caller_api: str) -> NodeRecord:

@@ -54,7 +54,7 @@ class PortRange:
 class PortLease:
     port: int
     purpose: str
-    target: tuple  # (host, port) of the internal real endpoint
+    target: str  # the internal real endpoint: a slave API URI, or a relay's host:port
     owner: str  # caller_id
 
 
@@ -71,7 +71,7 @@ class PortAllocator:
         self._free = list(range(self.port_range.low, self.port_range.high + 1))
         heapq.heapify(self._free)
 
-    def lease(self, purpose: str, target: tuple, owner: str) -> PortLease:
+    def lease(self, purpose: str, target: str, owner: str) -> PortLease:
         if not self._free:
             raise Exhausted(
                 "port range %s exhausted (%d ports, all leased)"

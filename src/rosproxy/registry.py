@@ -43,18 +43,6 @@ class UnknownNode(Exception):
 
 
 @dataclass
-class PingPolicy:
-    interval: float = 10.0
-    failure_threshold: int = 3
-
-    def __post_init__(self):
-        if self.interval <= 0:
-            raise ValueError("ping interval must be > 0")
-        if self.failure_threshold < 1:
-            raise ValueError("failure threshold must be >= 1")
-
-
-@dataclass
 class NodeRecord:
     caller_id: str
     real_slave_uri: str
@@ -89,7 +77,12 @@ def _shielded(change):
 
 
 class Registry:
-    """The shared node map; all mutation goes through one lock."""
+    """The shared node map; all mutation goes through one lock.
+
+    It also owns what every listener and outbound connection of the proxy
+    shares: the bind host, the timeout of a forwarded call and the dialer
+    (None: asyncio.open_connection). The gateways read them from here.
+    """
 
     def __init__(
         self,
@@ -98,7 +91,8 @@ class Registry:
         *,
         bind_host: str = "",
         grace_period: float = 30.0,
-        ping_policy: Optional[PingPolicy] = None,
+        ping_interval: float = 10.0,
+        ping_failure_threshold: int = 3,
         rpc_timeout: float = 5.0,
         dial: Optional[Dialer] = None,
     ):
@@ -106,7 +100,8 @@ class Registry:
         self.gateway_factory = gateway_factory
         self.bind_host = bind_host
         self.grace_period = grace_period
-        self.ping_policy = ping_policy or PingPolicy()
+        self.ping_interval = ping_interval
+        self.ping_failure_threshold = ping_failure_threshold
         self.rpc_timeout = rpc_timeout
         self.dial = dial
         self.nodes: Dict[str, NodeRecord] = {}
@@ -180,7 +175,7 @@ class Registry:
             record = self.get(caller_id)
             key = (target_host, target_port)
             handle = record.tcpros_relays.get(key)
-            if handle is not None and not handle.closed:
+            if handle is not None:
                 return handle
             lease = self.allocator.lease(
                 PURPOSE_TCPROS, "%s:%d" % (target_host, target_port), caller_id
@@ -202,6 +197,17 @@ class Registry:
             if record is None or record.purged:
                 raise UnknownNode(caller_id)
             await self._purge_locked(record)
+
+    @_shielded
+    async def purge_if_idle(self, caller_id: str) -> None:
+        """Purge caller_id if it holds no registration and no grace timer
+        is running for it: when its grace timer has fired, or when a
+        registration failed after its record was built."""
+        async with self._lock:
+            record = self.nodes.get(caller_id)
+            if (record is not None and not record.purged
+                    and record.refcount() == 0 and record._grace_timer is None):
+                await self._purge_locked(record)
 
     async def purge_all(self) -> None:
         async with self._lock:
@@ -235,7 +241,7 @@ class Registry:
 
         def fire():
             record._grace_timer = None
-            task = asyncio.ensure_future(self._grace_purge(record.caller_id))
+            task = asyncio.ensure_future(self.purge_if_idle(record.caller_id))
             self._grace_tasks.add(task)
             task.add_done_callback(self._grace_tasks.discard)
 
@@ -247,18 +253,6 @@ class Registry:
         if record._grace_timer is not None:
             record._grace_timer.cancel()
             record._grace_timer = None
-
-    async def _grace_purge(self, caller_id: str) -> None:
-        try:
-            record = self.get(caller_id)
-        except UnknownNode:
-            return
-        if record.refcount() != 0:  # re-registered while the timer fired
-            return
-        try:
-            await self.purge_node(caller_id)
-        except UnknownNode:
-            pass
 
     # -- liveness ----------------------------------------------------
 
@@ -287,8 +281,8 @@ class Registry:
             record.ping_failures += 1
             log.warning("ping of %s (%s) failed (%d/%d)",
                         record.caller_id, record.real_slave_uri,
-                        record.ping_failures, self.ping_policy.failure_threshold)
-            if record.ping_failures >= self.ping_policy.failure_threshold:
+                        record.ping_failures, self.ping_failure_threshold)
+            if record.ping_failures >= self.ping_failure_threshold:
                 try:
                     await self.purge_node(record.caller_id)
                 except UnknownNode:
@@ -301,9 +295,9 @@ class Registry:
         return [r for r in results if r is not None]
 
     async def run_ping_loop(self) -> None:
-        """Ping forever at the policy interval (cancel to stop)."""
+        """Ping forever at ping_interval (cancel to stop)."""
         while True:
-            await asyncio.sleep(self.ping_policy.interval)
+            await asyncio.sleep(self.ping_interval)
             try:
                 await self.ping_cycle()
             except Exception:  # pragma: no cover - keep the loop alive

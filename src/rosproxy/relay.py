@@ -42,7 +42,6 @@ class RelayHandle:
     accepted_total: int = 0
     bytes_in: int = 0   # client -> target
     bytes_out: int = 0  # target -> client
-    closed: bool = False
 
     @property
     def port(self) -> int:
@@ -124,6 +123,5 @@ async def open_relay(
 
 async def close_relay(handle: RelayHandle) -> None:
     """Stop accepting and abort in-flight connections; idempotent."""
-    handle.closed = True
     await close_server(handle.server)
     log.debug("relay down: %s:%d", handle.bind_host, handle.port)

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Optional
 
-from .http11 import Dialer, forward, serve_xmlrpc
+from .http11 import forward, serve_xmlrpc
 from .registry import NodeRecord, Registry, UnknownNode
 from .xmlrpc_codec import (
     FAULT_APP,
@@ -38,7 +37,11 @@ TCPROS = "TCPROS"
 
 
 class SlaveGatewayManager:
-    """Starts per-node listeners and does the requestTopic rewrite."""
+    """Starts per-node listeners and does the requestTopic rewrite.
+
+    Listeners bind to, and forwards use the timeout and dialer of, the
+    registry (Registry.bind_host, rpc_timeout and dial).
+    """
 
     def __init__(
         self,
@@ -46,16 +49,10 @@ class SlaveGatewayManager:
         advertised_host: str,
         *,
         host_port_offset: int = 0,
-        bind_host: str = "",
-        rpc_timeout: float = 5.0,
-        dial: Optional[Dialer] = None,
     ):
         self.registry = registry
         self.advertised_host = advertised_host
         self.host_port_offset = host_port_offset
-        self.bind_host = bind_host
-        self.rpc_timeout = rpc_timeout
-        self.dial = dial
 
     def advertised_uri(self, record: NodeRecord) -> str:
         return "http://%s:%d/" % (
@@ -81,12 +78,12 @@ class SlaveGatewayManager:
                 return MethodFault(FAULT_APP, "node %s is gone" % caller_id)
             return await self.handle_slave_call(live, call)
 
-        return await serve_xmlrpc(self.bind_host, record.gateway_lease.port, dispatch)
+        return await serve_xmlrpc(self.registry.bind_host, record.gateway_lease.port, dispatch)
 
     async def handle_slave_call(self, record: NodeRecord, call: MethodCall) -> MethodResponse:
         response = await forward(
-            record.real_slave_uri, call,
-            timeout=self.rpc_timeout, dial=self.dial, target="node %s" % record.caller_id,
+            record.real_slave_uri, call, timeout=self.registry.rpc_timeout,
+            dial=self.registry.dial, target="node %s" % record.caller_id,
         )
         if call.method_name == "requestTopic" and isinstance(response, MethodSuccess):
             try:

@@ -55,7 +55,7 @@ class MalformedXml(CodecError):
 
 
 class DepthExceeded(CodecError):
-    """Array/struct nesting is deeper than the configured limit."""
+    """Array/struct nesting is deeper than MAX_DEPTH."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def _escape_text(text: str) -> str:
     return _xml_escape(text).replace("\r", "&#13;")
 
 
-def _encode_value(value: RpcValue, out: list, depth: int, max_depth: int) -> None:
+def _encode_value(value: RpcValue, out: list, depth: int) -> None:
     if isinstance(value, bool):  # bool before int: bool is an int subclass
         out.append("<value><boolean>%d</boolean></value>" % int(value))
     elif isinstance(value, int):
@@ -144,28 +144,28 @@ def _encode_value(value: RpcValue, out: list, depth: int, max_depth: int) -> Non
             % _escape_text(value.text)
         )
     elif isinstance(value, (list, tuple)):
-        if depth >= max_depth:
-            raise DepthExceeded("nesting deeper than %d" % max_depth)
+        if depth >= MAX_DEPTH:
+            raise DepthExceeded("nesting deeper than %d" % MAX_DEPTH)
         out.append("<value><array><data>")
         for item in value:
-            _encode_value(item, out, depth + 1, max_depth)
+            _encode_value(item, out, depth + 1)
         out.append("</data></array></value>")
     elif isinstance(value, dict):
-        if depth >= max_depth:
-            raise DepthExceeded("nesting deeper than %d" % max_depth)
+        if depth >= MAX_DEPTH:
+            raise DepthExceeded("nesting deeper than %d" % MAX_DEPTH)
         out.append("<value><struct>")
         for name, member in value.items():
             if not isinstance(name, str):
                 raise TypeError("struct member name must be str, got %r" % (name,))
             out.append("<member><name>%s</name>" % _escape_text(name))
-            _encode_value(member, out, depth + 1, max_depth)
+            _encode_value(member, out, depth + 1)
             out.append("</member>")
         out.append("</struct></value>")
     else:
         raise TypeError("cannot encode %r as an XML-RPC value" % (value,))
 
 
-def encode_call(call: MethodCall, *, max_depth: int = MAX_DEPTH) -> bytes:
+def encode_call(call: MethodCall) -> bytes:
     if not _METHOD_NAME_RE.match(call.method_name or ""):
         raise ValueError("invalid method name %r" % (call.method_name,))
     out = [
@@ -176,7 +176,7 @@ def encode_call(call: MethodCall, *, max_depth: int = MAX_DEPTH) -> bytes:
         out.append("<params>")
         for param in call.params:
             out.append("<param>")
-            _encode_value(param, out, 0, max_depth)
+            _encode_value(param, out, 0)
             out.append("</param>")
         out.append("</params>")
     else:
@@ -185,17 +185,15 @@ def encode_call(call: MethodCall, *, max_depth: int = MAX_DEPTH) -> bytes:
     return "".join(out).encode("utf-8")
 
 
-def encode_response(resp: MethodResponse, *, max_depth: int = MAX_DEPTH) -> bytes:
+def encode_response(resp: MethodResponse) -> bytes:
     out = ['<?xml version="1.0"?>', "<methodResponse>"]
     if isinstance(resp, MethodSuccess):
         out.append("<params><param>")
-        _encode_value(resp.value, out, 0, max_depth)
+        _encode_value(resp.value, out, 0)
         out.append("</param></params>")
     elif isinstance(resp, MethodFault):
         out.append("<fault>")
-        _encode_value(
-            {"faultCode": resp.code, "faultString": resp.message}, out, 0, max_depth
-        )
+        _encode_value({"faultCode": resp.code, "faultString": resp.message}, out, 0)
         out.append("</fault>")
     else:
         raise TypeError("not a MethodResponse: %r" % (resp,))
@@ -206,9 +204,9 @@ def encode_response(resp: MethodResponse, *, max_depth: int = MAX_DEPTH) -> byte
 # ---------------------------------------------------------------------------
 # parsing
 
-def _parse_document(body: bytes, max_bytes: int) -> ET.Element:
-    if len(body) > max_bytes:
-        raise MalformedXml("message of %d bytes exceeds limit %d" % (len(body), max_bytes))
+def _parse_document(body: bytes) -> ET.Element:
+    if len(body) > MAX_MESSAGE_BYTES:
+        raise MalformedXml("message of %d bytes exceeds limit %d" % (len(body), MAX_MESSAGE_BYTES))
     try:
         return ET.fromstring(body)
     except ET.ParseError as exc:
@@ -223,7 +221,7 @@ def _text_of(elem: ET.Element) -> str:
     return elem.text or ""
 
 
-def _decode_value(elem: ET.Element, depth: int, max_depth: int) -> RpcValue:
+def _decode_value(elem: ET.Element, depth: int) -> RpcValue:
     children = list(elem)
     if not children:
         # untyped <value>text</value> is a string
@@ -271,8 +269,8 @@ def _decode_value(elem: ET.Element, depth: int, max_depth: int) -> RpcValue:
     if tag == "dateTime.iso8601":
         return RpcDateTime(_text_of(child))
     if tag == "array":
-        if depth >= max_depth:
-            raise DepthExceeded("nesting deeper than %d" % max_depth)
+        if depth >= MAX_DEPTH:
+            raise DepthExceeded("nesting deeper than %d" % MAX_DEPTH)
         parts = list(child)
         if len(parts) != 1 or parts[0].tag != "data":
             raise MalformedXml("<array> must contain exactly one <data>")
@@ -280,11 +278,11 @@ def _decode_value(elem: ET.Element, depth: int, max_depth: int) -> RpcValue:
         for item in parts[0]:
             if item.tag != "value":
                 raise MalformedXml("non-<value> element inside <data>")
-            items.append(_decode_value(item, depth + 1, max_depth))
+            items.append(_decode_value(item, depth + 1))
         return items
     if tag == "struct":
-        if depth >= max_depth:
-            raise DepthExceeded("nesting deeper than %d" % max_depth)
+        if depth >= MAX_DEPTH:
+            raise DepthExceeded("nesting deeper than %d" % MAX_DEPTH)
         record: dict = {}
         for member in child:
             if member.tag != "member":
@@ -293,12 +291,12 @@ def _decode_value(elem: ET.Element, depth: int, max_depth: int) -> RpcValue:
             value_el = member.find("value")
             if name_el is None or value_el is None or len(list(member)) != 2:
                 raise MalformedXml("<member> must contain <name> and <value>")
-            record[_text_of(name_el)] = _decode_value(value_el, depth + 1, max_depth)
+            record[_text_of(name_el)] = _decode_value(value_el, depth + 1)
         return record
     raise MalformedXml("unsupported value type <%s>" % tag)
 
 
-def _decode_params(params_el: ET.Element, max_depth: int) -> list:
+def _decode_params(params_el: ET.Element) -> list:
     params = []
     for param in params_el:
         if param.tag != "param":
@@ -306,14 +304,12 @@ def _decode_params(params_el: ET.Element, max_depth: int) -> list:
         values = list(param)
         if len(values) != 1 or values[0].tag != "value":
             raise MalformedXml("<param> must contain exactly one <value>")
-        params.append(_decode_value(values[0], 0, max_depth))
+        params.append(_decode_value(values[0], 0))
     return params
 
 
-def parse_call(
-    body: bytes, *, max_depth: int = MAX_DEPTH, max_bytes: int = MAX_MESSAGE_BYTES
-) -> MethodCall:
-    root = _parse_document(body, max_bytes)
+def parse_call(body: bytes) -> MethodCall:
+    root = _parse_document(body)
     if root.tag != "methodCall":
         raise MalformedXml("not a methodCall document (root <%s>)" % root.tag)
     name_el = None
@@ -330,14 +326,12 @@ def parse_call(
     method_name = _text_of(name_el)
     if not _METHOD_NAME_RE.match(method_name):
         raise MalformedXml("invalid method name %r" % method_name)
-    params = [] if params_el is None else _decode_params(params_el, max_depth)
+    params = [] if params_el is None else _decode_params(params_el)
     return MethodCall(method_name, params)
 
 
-def parse_response(
-    body: bytes, *, max_depth: int = MAX_DEPTH, max_bytes: int = MAX_MESSAGE_BYTES
-) -> MethodResponse:
-    root = _parse_document(body, max_bytes)
+def parse_response(body: bytes) -> MethodResponse:
+    root = _parse_document(body)
     if root.tag != "methodResponse":
         raise MalformedXml("not a methodResponse document (root <%s>)" % root.tag)
     children = list(root)
@@ -345,7 +339,7 @@ def parse_response(
         raise MalformedXml("methodResponse must contain exactly one <params> or <fault>")
     child = children[0]
     if child.tag == "params":
-        params = _decode_params(child, max_depth)
+        params = _decode_params(child)
         if len(params) != 1:
             raise MalformedXml("response must carry exactly one value, got %d" % len(params))
         return MethodSuccess(params[0])
@@ -353,7 +347,7 @@ def parse_response(
         values = list(child)
         if len(values) != 1 or values[0].tag != "value":
             raise MalformedXml("<fault> must contain exactly one <value>")
-        payload = _decode_value(values[0], 0, max_depth)
+        payload = _decode_value(values[0], 0)
         if not isinstance(payload, dict):
             raise MalformedXml("fault payload is not a struct")
         code = payload.get("faultCode")

@@ -171,11 +171,10 @@ async def test_criterion_3_rewrite_completeness():
         return await parts["manager"].start_gateway(record)
 
     registry = Registry(allocator, factory, bind_host="", rpc_timeout=2.0)
-    manager = SlaveGatewayManager(registry, ADVERTISED_HOST, bind_host="", rpc_timeout=2.0)
+    manager = SlaveGatewayManager(registry, ADVERTISED_HOST)
     parts["manager"] = manager
     gateway = MasterGateway(
-        registry, manager, "http://127.0.0.1:%d/" % upstream_port,
-        main_port=free_port(), bind_host="", rpc_timeout=2.0,
+        registry, manager, "http://127.0.0.1:%d/" % upstream_port, main_port=free_port(),
     )
 
     # a real internal slave so requestTopic has something to answer it
@@ -411,12 +410,9 @@ async def test_criterion_6_resource_conservation():
 
     registry = Registry(allocator, factory, bind_host="127.0.0.1",
                         grace_period=300.0, rpc_timeout=2.0)
-    manager = SlaveGatewayManager(registry, ADVERTISED_HOST,
-                                  bind_host="127.0.0.1", rpc_timeout=2.0)
+    manager = SlaveGatewayManager(registry, ADVERTISED_HOST)
     parts["manager"] = manager
-    gateway = MasterGateway(registry, manager, master.uri,
-                            main_port=free_port(), bind_host="127.0.0.1",
-                            rpc_timeout=2.0)
+    gateway = MasterGateway(registry, manager, master.uri, main_port=free_port())
 
     rng = make_rng(606)
     node_count = 12
@@ -517,9 +513,7 @@ async def test_criterion_7_port_determinism_and_exhaustion():
 
         registry = Registry(allocator, factory, bind_host="127.0.0.1",
                             grace_period=300.0, rpc_timeout=2.0)
-        parts["manager"] = SlaveGatewayManager(
-            registry, ADVERTISED_HOST, bind_host="127.0.0.1", rpc_timeout=2.0
-        )
+        parts["manager"] = SlaveGatewayManager(registry, ADVERTISED_HOST)
         a = await registry.ensure_node("/a", "http://127.0.9.1:6001/")
         b = await registry.ensure_node("/b", "http://127.0.9.1:6002/")
         b_port = b.gateway_port
@@ -551,9 +545,7 @@ async def test_criterion_7_port_determinism_and_exhaustion():
         return await parts["manager"].start_gateway(record)
 
     registry = Registry(allocator, factory, bind_host="127.0.0.1", rpc_timeout=2.0)
-    parts["manager"] = SlaveGatewayManager(
-        registry, ADVERTISED_HOST, bind_host="127.0.0.1", rpc_timeout=2.0
-    )
+    parts["manager"] = SlaveGatewayManager(registry, ADVERTISED_HOST)
     try:
         await registry.ensure_node("/one", "http://127.0.9.1:6001/")
         await registry.ensure_node("/two", "http://127.0.9.1:6002/")

@@ -5,11 +5,12 @@ import dataclasses
 import os
 import signal
 import socket
+from pathlib import Path
 
 import pytest
 
 from rosproxy.app import EXIT_FATAL, EXIT_OK, ProxyApp, run
-from rosproxy.config import ConfigError, ProxyConfig, load_config
+from rosproxy.config import SETTINGS, ConfigError, ProxyConfig, load_config
 from rosproxy.http11 import RpcTransportError, XmlRpcClient, serve_xmlrpc
 from rosproxy.ports import PortRange
 from rosproxy.registry import KIND_PUB
@@ -94,6 +95,14 @@ def test_echo_lines_are_key_value():
     as_map = dict(line.split("=", 1) for line in lines)
     assert as_map["advertised_host"] == "hostA"
     assert as_map["port_range"] == "30000-30099"
+
+
+def test_readme_settings_table_matches_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = [line.split("|")[1:4] for line in readme.splitlines() if line.startswith("| `--")]
+    assert [tuple(cell.strip().strip("`") for cell in row) for row in rows] == [
+        ("--" + s.flag, s.env, s.default or "— (required)") for s in SETTINGS
+    ]
 
 
 def make_app_config(upstream_uri, range_size=6):
@@ -203,6 +212,62 @@ async def test_stop_during_registration_leaves_no_lease():
     assert app.allocator.live_leases() == []
     assert app.registry.nodes == {}
     assert [t for t in asyncio.all_tasks() if t is not asyncio.current_task()] == []
+
+
+async def test_one_dialer_reaches_every_outbound_connection():
+    """The dialer ProxyApp is given opens the upstream forward, a slave
+    gateway's forward, a ping and a relay's connection to its target."""
+    upstream, uri = await start_upstream()
+    data_port = free_port()
+
+    async def publisher_socket(reader, writer):
+        writer.write(b"frame")
+        await writer.drain()
+        writer.close()
+
+    data = await asyncio.start_server(publisher_socket, "127.0.0.1", data_port)
+
+    async def node_dispatch(path, call, peer):
+        if call.method_name == "requestTopic":
+            return MethodSuccess([1, "ready", ["TCPROS", "127.0.0.1", data_port]])
+        return MethodSuccess([1, "", 4242])
+
+    node_port = free_port()
+    node = await serve_xmlrpc("127.0.0.1", node_port, node_dispatch)
+    dials = []
+
+    async def recording_dial(host, port):
+        dials.append(port)
+        return await asyncio.open_connection(host, port)
+
+    app = ProxyApp(make_app_config(uri), dial=recording_dial)
+    await app.start()
+    try:
+        master = XmlRpcClient("http://127.0.0.1:%d/" % app.config.main_port, timeout=2.0)
+        await master.call_ros("registerPublisher", [
+            "/talker", "/chat", "std_msgs/String", "http://127.0.0.1:%d/" % node_port,
+        ])
+        upstream_port = upstream.sockets[0].getsockname()[1]
+        assert dials == [upstream_port]
+
+        record = app.registry.get("/talker")
+        gateway = XmlRpcClient("http://127.0.0.1:%d/" % record.gateway_port, timeout=2.0)
+        result = await gateway.call_ros("requestTopic", ["/listener", "/chat", [["TCPROS"]]])
+        assert dials == [upstream_port, node_port]
+
+        assert await app.registry.ping_cycle() == [("/talker", "ok")]
+        assert dials == [upstream_port, node_port, node_port]
+
+        reader, writer = await asyncio.open_connection("127.0.0.1", result.value[2])
+        assert await asyncio.wait_for(reader.read(), 2.0) == b"frame"
+        writer.close()
+        await writer.wait_closed()
+        assert dials == [upstream_port, node_port, node_port, data_port]
+    finally:
+        await app.stop()
+        for server in (upstream, node, data):
+            server.close()
+            await server.wait_closed()
 
 
 async def test_app_occupied_main_port_is_fatal_exit():

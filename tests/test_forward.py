@@ -40,7 +40,7 @@ async def start_broken_peer(failure):
 async def test_transport_failure_takes_the_one_forward_path(failure, path):
     server, uri = await start_broken_peer(failure)
     gateway, registry, manager, allocator = build_gateway(uri)
-    gateway.rpc_timeout = manager.rpc_timeout = registry.rpc_timeout = RPC_TIMEOUT
+    registry.rpc_timeout = RPC_TIMEOUT
     try:
         if path == "master":
             response = await gateway.handle_master_call(

@@ -158,10 +158,9 @@ async def test_oversized_body_is_413():
     server = await serve_http(
         "127.0.0.1", port,
         lambda path, body, peer: (_ for _ in ()).throw(AssertionError("reached handler")),
-        max_body=1024,
     )
     try:
-        req = b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: 2048\r\n\r\n"
+        req = b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % (MAX_MESSAGE_BYTES + 1)
         data = await _raw_request(port, req)
         assert data.startswith(b"HTTP/1.1 413 ")
     finally:

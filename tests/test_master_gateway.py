@@ -16,6 +16,7 @@ from rosproxy.ports import PortAllocator, PortRange
 from rosproxy.registry import Registry
 from rosproxy.slave_gateway import SlaveGatewayManager
 from rosproxy.xmlrpc_codec import (
+    FAULT_APP,
     FAULT_BAD_PARAMS,
     FAULT_TRANSPORT,
     MethodCall,
@@ -23,7 +24,7 @@ from rosproxy.xmlrpc_codec import (
     MethodSuccess,
 )
 
-from helpers import free_port, free_range, make_rng, random_rpc_value
+from helpers import free_port, free_range, make_rng, poll_refused, random_rpc_value
 
 ADV = "127.0.0.1"  # advertised host for these tests
 
@@ -74,18 +75,9 @@ def build_gateway(upstream_uri, range_size=8, main_port=None, offset=0):
         return await parts["manager"].start_gateway(record)
 
     registry = Registry(allocator, factory, bind_host="127.0.0.1", rpc_timeout=2.0)
-    manager = SlaveGatewayManager(
-        registry, ADV, host_port_offset=offset, bind_host="127.0.0.1", rpc_timeout=2.0
-    )
+    manager = SlaveGatewayManager(registry, ADV, host_port_offset=offset)
     parts["manager"] = manager
-    gateway = MasterGateway(
-        registry,
-        manager,
-        upstream_uri,
-        main_port=main_port or free_port(),
-        bind_host="127.0.0.1",
-        rpc_timeout=2.0,
-    )
+    gateway = MasterGateway(registry, manager, upstream_uri, main_port=main_port or free_port())
     return gateway, registry, manager, allocator
 
 
@@ -209,6 +201,43 @@ async def test_register_service_rewrites_both_apis_and_relays():
     finally:
         srv.close()
         await srv.wait_closed()
+        upstream.close()
+        await upstream.wait_closed()
+        await registry.purge_all()
+
+
+async def test_register_service_without_relay_port_purges_only_a_new_node():
+    """A registerService whose relay finds no free port faults. A node the
+    call built is purged with its gateway lease; a node that already holds
+    a registration keeps it."""
+    upstream, uri, calls = await start_upstream_stub()
+    gateway, registry, _, allocator = build_gateway(uri, range_size=1)
+    register_service = MethodCall(
+        "registerService",
+        ["/adder", "/add_two_ints", "rosrpc://127.0.0.1:1", "http://10.0.2.5:43299/"],
+    )
+    exhausted = MethodFault(
+        FAULT_APP,
+        "cannot provision node resources: port range %s exhausted (1 ports, all leased)"
+        % allocator.port_range,
+    )
+    try:
+        assert await gateway.handle_master_call(register_service, None) == exhausted
+        assert "/adder" not in registry.nodes
+        assert allocator.live_leases() == []
+        await poll_refused("127.0.0.1", allocator.port_range.low, timeout=2.0)
+
+        register_publisher = MethodCall(
+            "registerPublisher", ["/adder", "/sum", "std_msgs/Int32", "http://10.0.2.5:43299/"]
+        )
+        assert await gateway.handle_master_call(register_publisher, None) == MethodSuccess(
+            [1, "Registered", 1]
+        )
+        assert await gateway.handle_master_call(register_service, None) == exhausted
+        assert registry.get("/adder").publications == {"/sum"}
+        assert len(allocator.live_leases()) == 1
+        assert [method for method, _ in calls] == ["registerPublisher"]
+    finally:
         upstream.close()
         await upstream.wait_closed()
         await registry.purge_all()

@@ -12,7 +12,6 @@ from rosproxy.registry import (
     KIND_SERVICE,
     KIND_SUB,
     NodeRecord,
-    PingPolicy,
     Registry,
     UnknownNode,
 )
@@ -140,7 +139,7 @@ async def test_lease_relay_dedups_by_target():
     record = registry.get("/n")
     assert set(record.tcpros_relays) == {("127.0.0.1", 50001), ("127.0.0.1", 50002)}
     await registry.purge_all()
-    assert a.closed and c.closed
+    assert not a.server.is_serving() and not c.server.is_serving()
     assert allocator.live_leases() == []
 
 
@@ -231,7 +230,7 @@ async def test_ping_bad_result_code_counts_as_failure():
 
 async def test_dead_node_purged_at_threshold():
     registry, allocator = make_registry(
-        rpc_timeout=1.0, ping_policy=PingPolicy(interval=0.5, failure_threshold=3)
+        rpc_timeout=1.0, ping_interval=0.5, ping_failure_threshold=3
     )
     server, uri = await start_slave_stub("ok")
     record = await registry.ensure_node("/n", uri)
@@ -253,7 +252,7 @@ async def test_ping_loop_purges_dead_node_within_budget():
     # interval 0.2s, threshold 3: a freshly killed node should be gone
     # within roughly 3 intervals (+ slack)
     registry, allocator = make_registry(
-        rpc_timeout=1.0, ping_policy=PingPolicy(interval=0.2, failure_threshold=3)
+        rpc_timeout=1.0, ping_interval=0.2, ping_failure_threshold=3
     )
     server, uri = await start_slave_stub("ok")
     await registry.ensure_node("/n", uri)

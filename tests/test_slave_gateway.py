@@ -27,13 +27,7 @@ def build_parts(advertised_host="127.0.0.1", offset=0, range_size=8, rpc_timeout
         return await parts["manager"].start_gateway(record)
 
     registry = Registry(allocator, factory, bind_host="127.0.0.1", rpc_timeout=rpc_timeout)
-    manager = SlaveGatewayManager(
-        registry,
-        advertised_host,
-        host_port_offset=offset,
-        bind_host="127.0.0.1",
-        rpc_timeout=rpc_timeout,
-    )
+    manager = SlaveGatewayManager(registry, advertised_host, host_port_offset=offset)
     parts["manager"] = manager
     return registry, manager, allocator
 

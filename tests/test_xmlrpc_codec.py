@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from helpers import make_rng, random_rpc_value, same_value
 from rosproxy.xmlrpc_codec import (
+    MAX_MESSAGE_BYTES,
     DepthExceeded,
     MalformedXml,
     MethodCall,
@@ -93,8 +94,9 @@ def test_int_out_of_32bit_range_rejected():
 
 def test_parse_call_size_limit():
     body = b"<methodCall><methodName>f</methodName></methodCall>"
-    with pytest.raises(MalformedXml):
-        parse_call(body, max_bytes=8)
+    body += b" " * (MAX_MESSAGE_BYTES - len(body) + 1)  # well-formed, one byte too long
+    with pytest.raises(MalformedXml, match="exceeds limit"):
+        parse_call(body)
 
 
 # --- encode_call ------------------------------------------------------------
@@ -198,7 +200,9 @@ def nested_list(depth):
 def test_depth_limit_boundary():
     ok = MethodCall("f", [nested_list(32)])
     assert roundtrip_call(ok) == ok
-    body = encode_call(MethodCall("f", [nested_list(33)]), max_depth=64)
+    body = encode_call(ok).replace(b"<param>", b"<param><value><array><data>").replace(
+        b"</param>", b"</data></array></value></param>"
+    )  # one more level than MAX_DEPTH
     with pytest.raises(DepthExceeded):
         parse_call(body)
     with pytest.raises(DepthExceeded):
