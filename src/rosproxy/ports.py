@@ -10,7 +10,10 @@ respect to concurrent request handlers.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
+
+HISTORY_LEN = 4096
 
 PURPOSE_SLAVE_API = "slave_api_gateway"
 PURPOSE_TCPROS = "tcpros_relay"
@@ -63,9 +66,9 @@ class PortAllocator:
     port_range: PortRange
     _free: list = field(init=False)
     _live: dict = field(init=False, default_factory=dict)
-    # append-only journal of (port, purpose, owner); lets replayed runs be
-    # compared for identical assignments
-    history: list = field(init=False, default_factory=list)
+    # journal of the newest HISTORY_LEN (port, purpose, owner) leases; lets
+    # replayed runs be compared for identical assignments
+    history: deque = field(init=False, default_factory=lambda: deque(maxlen=HISTORY_LEN))
 
     def __post_init__(self):
         self._free = list(range(self.port_range.low, self.port_range.high + 1))

@@ -1,15 +1,22 @@
 """Byte-transparent TCP relaying.
 
 A relay listens on a leased port and, per accepted connection, dials a
-fixed target and pumps bytes both ways until both directions reach EOF.
+fixed target and copies bytes both ways until both directions reach EOF.
 It never inspects payloads: the wire protocols it carries put all
 routing information in out-of-band registration calls, so copying bytes
 verbatim is sufficient (and keeps the relay oblivious to protocol
 versions).
 
-Half-closes are propagated: when one side sends EOF the relay forwards
-the EOF (write_eof) and keeps the opposite direction flowing, which is
-what request/response protocols over raw TCP expect.
+Once the target answers, the two sockets are joined by a pair of
+asyncio protocols (_Leg), one per socket: what one reads is written
+straight into the other's transport, with no task or stream buffer in
+between. Half-closes are propagated: an EOF on one side becomes a
+write_eof on the other while the opposite direction keeps flowing, which
+is what request/response protocols over raw TCP expect. Backpressure is
+the transports' own: when one side's write buffer fills, the other side
+stops reading (pause_reading) until it drains, so a slow reader bounds
+what the relay holds. After both EOFs both sockets close gracefully; a
+socket lost before that aborts the other.
 
 Closing a relay closes its port like every port (http11.close_server):
 its connections, and the ones they dialed, are aborted, not drained.
@@ -26,8 +33,6 @@ from .http11 import Dialer, close_server, connection_tasks, hang_up, listen
 from .ports import PortLease
 
 log = logging.getLogger(__name__)
-
-COPY_CHUNK = 64 * 1024
 
 
 @dataclass
@@ -51,23 +56,45 @@ class RelayHandle:
         return len(connection_tasks[self.server])
 
 
-async def _pump(reader, writer, handle: RelayHandle, inbound: bool) -> None:
-    """Copy reader -> writer until EOF, then forward the EOF."""
-    while True:
-        chunk = await reader.read(COPY_CHUNK)
-        if not chunk:
-            break
-        if inbound:
-            handle.bytes_in += len(chunk)
+class _Leg(asyncio.Protocol):
+    """One socket of a relayed connection. What it reads is counted and
+    written to the peer leg's socket; its EOF becomes the peer's
+    half-close; a full peer write buffer pauses reading here."""
+
+    def __init__(self, transport, handle: RelayHandle, inbound: bool):
+        self.transport = transport
+        self.handle = handle
+        self.inbound = inbound
+        self.peer: _Leg = None
+        self.eof = False
+        self.lost = asyncio.get_running_loop().create_future()
+
+    def data_received(self, data: bytes) -> None:
+        if self.inbound:
+            self.handle.bytes_in += len(data)
         else:
-            handle.bytes_out += len(chunk)
-        writer.write(chunk)
-        await writer.drain()
-    try:
-        if writer.can_write_eof():
-            writer.write_eof()
-    except (ConnectionError, OSError, RuntimeError):
-        pass  # peer already gone; EOF is moot
+            self.handle.bytes_out += len(data)
+        self.peer.transport.write(data)
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self.peer.transport.write_eof()
+        if self.peer.eof:
+            self.transport.close()
+            self.peer.transport.close()
+        return True  # keep the socket open for the other direction
+
+    def pause_writing(self) -> None:
+        self.peer.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.peer.transport.resume_reading()
+
+    def connection_lost(self, exc) -> None:
+        if not (self.eof and self.peer.eof):
+            self.peer.transport.abort()  # one leg broke: neither peer waits on a dead pipe
+        if not self.lost.done():
+            self.lost.set_result(None)
 
 
 async def _serve_connection(
@@ -86,15 +113,28 @@ async def _serve_connection(
         return
     # the dialed connection ends with this task, as listen ends the accepted one
     asyncio.current_task().add_done_callback(lambda _: target_writer.transport.abort())
+    if client_writer.transport.is_closing() or target_writer.transport.is_closing():
+        return  # a peer is already gone
+    client = _Leg(client_writer.transport, handle, inbound=True)
+    target = _Leg(target_writer.transport, handle, inbound=False)
+    client.peer, target.peer = target, client
+    # The streams may hold bytes and an EOF that arrived before the dial
+    # completed (a subscriber's header, say). StreamReader has no public
+    # way to take them without waiting; _buffer and _eof mean the same on
+    # every supported Python.
+    for leg in (client, target):
+        leg.transport.set_protocol(leg)
+        leg.transport.resume_reading()
     try:
-        await asyncio.gather(
-            _pump(client_reader, target_writer, handle, inbound=True),
-            _pump(target_reader, client_writer, handle, inbound=False),
-        )
-    except (ConnectionError, OSError, asyncio.IncompleteReadError):
-        # One leg broke: abort both so neither peer waits on a dead pipe.
-        return
-    await hang_up(client_writer, target_writer)
+        for leg, reader in ((client, client_reader), (target, target_reader)):
+            if reader._buffer:
+                leg.data_received(bytes(reader._buffer))
+                reader._buffer.clear()
+            if reader._eof:
+                leg.eof_received()
+    except OSError:
+        return  # write_eof found the peer gone; ending the task aborts both
+    await asyncio.gather(client.lost, target.lost)
 
 
 async def open_relay(

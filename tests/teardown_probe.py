@@ -119,12 +119,12 @@ async def probe() -> dict:
     fds_before = open_fds()
     live_targets = set()
     servers, upstream_port, node_port = await start_stubs(live_targets)
-    low, high = free_range(6)
+    low, high = free_range(7)  # the main port, then a 6-port lease range
     config = ProxyConfig(
         upstream_master_uri="http://%s:%d/" % (HOST, upstream_port),
         advertised_host=HOST,
-        main_port=free_port(),
-        port_range=PortRange(low, high),
+        main_port=low,
+        port_range=PortRange(low + 1, high),
         request_timeout=2.0,
         bind_host=HOST,
     ).validate()

@@ -106,12 +106,12 @@ def test_readme_settings_table_matches_config():
 
 
 def make_app_config(upstream_uri, range_size=6):
-    low, high = free_range(range_size)
+    low, high = free_range(range_size + 1)  # the main port, then the lease range
     return ProxyConfig(
         upstream_master_uri=upstream_uri,
         advertised_host="127.0.0.1",
-        main_port=free_port(),
-        port_range=PortRange(low, high),
+        main_port=low,
+        port_range=PortRange(low + 1, high),
         request_timeout=2.0,
         bind_host="127.0.0.1",
     ).validate()

@@ -6,6 +6,7 @@ from helpers import make_rng
 from rosproxy.ports import (
     PURPOSE_SLAVE_API,
     PURPOSE_TCPROS,
+    HISTORY_LEN,
     DoubleRelease,
     Exhausted,
     PortAllocator,
@@ -110,6 +111,15 @@ def test_randomized_walk_invariants():
 
 def test_replay_determinism():
     assert random_walk(1234) == random_walk(1234)
+
+
+def test_history_keeps_only_the_newest_leases():
+    alloc = make_allocator(30000, 30000)
+    for n in range(HISTORY_LEN + 5):
+        alloc.release(alloc.lease(PURPOSE_TCPROS, TARGET, "/n%d" % n))
+    assert len(alloc.history) == HISTORY_LEN
+    assert alloc.history[0] == (30000, PURPOSE_TCPROS, "/n5")
+    assert alloc.history[-1] == (30000, PURPOSE_TCPROS, "/n%d" % (HISTORY_LEN + 4))
 
 
 @settings(max_examples=200, deadline=None)

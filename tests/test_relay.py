@@ -1,8 +1,11 @@
 """Relay tests: identity forwarding, half-close request/response pattern,
+bytes sent before the target answers, backpressure from a slow reader,
 refused targets, concurrent connections, and close behaviour."""
 
 import asyncio
 import hashlib
+import socket
+import struct
 
 import pytest
 
@@ -53,6 +56,12 @@ async def start_sink_then_reply(reply: bytes, host="127.0.0.1"):
     return server, port, received
 
 
+async def slow_dial(host, port):
+    """A dialer that takes 50 ms, so the client's first bytes arrive first."""
+    await asyncio.sleep(0.05)
+    return await asyncio.open_connection(host, port)
+
+
 async def test_identity_forwarding_both_directions():
     echo, echo_port = await start_echo_server()
     relay_port = free_port()
@@ -96,6 +105,100 @@ async def test_half_close_lets_response_flow_back():
         await close_relay(handle)
         server.close()
         await server.wait_closed()
+
+
+async def test_bytes_and_eof_sent_before_the_dial_completes_arrive_in_order():
+    # The client's request and half-close reach the relay while it is
+    # still dialing; they must be handed to the target intact, then EOF.
+    server, port, received = await start_sink_then_reply(b"the-answer")
+
+    relay_port = free_port()
+    handle = await open_relay(lease_for(relay_port), "127.0.0.1", "127.0.0.1", port,
+                              dial=slow_dial)
+    try:
+        request = make_rng(0xEA21).randbytes(4096)
+        reader, writer = await asyncio.open_connection("127.0.0.1", relay_port)
+        writer.write(request)
+        await writer.drain()
+        writer.write_eof()
+        reply = await asyncio.wait_for(reader.read(), 5.0)
+        assert reply == b"the-answer"
+        assert received == [request]
+        assert (handle.bytes_in, handle.bytes_out) == (len(request), len(reply))
+        writer.close()
+        await writer.wait_closed()
+    finally:
+        await close_relay(handle)
+        server.close()
+        await server.wait_closed()
+
+
+async def test_client_reset_during_the_dial_ends_the_connection():
+    server, port, _ = await start_sink_then_reply(b"unheard")
+
+    relay_port = free_port()
+    handle = await open_relay(lease_for(relay_port), "127.0.0.1", "127.0.0.1", port,
+                              dial=slow_dial)
+    try:
+        _, writer = await asyncio.open_connection("127.0.0.1", relay_port)
+        writer.transport.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        writer.transport.abort()  # RST while the relay is still dialing
+        await poll_until(lambda: handle.accepted_total == 1 and handle.connection_count() == 0,
+                         timeout=2.0)
+    finally:
+        await close_relay(handle)
+        server.close()
+        await server.wait_closed()
+
+
+async def test_slow_reader_stalls_the_target_and_loses_nothing():
+    # A client that does not read must stop the relay reading from the
+    # target, so the relay holds a bounded amount, not the whole flood.
+    flood = make_rng(0xF100D).randbytes(8 << 20)
+
+    async def on_conn(reader, writer):
+        writer.write(flood)
+        try:
+            await writer.drain()
+        except (ConnectionError, OSError):
+            pass
+        writer.close()
+
+    target_port = free_port()
+    target = await asyncio.start_server(on_conn, "127.0.0.1", target_port)
+    relay_port = free_port()
+    handle = await open_relay(lease_for(relay_port), "127.0.0.1", "127.0.0.1", target_port)
+    try:
+        sock = socket.socket()
+        sock.setblocking(False)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+        await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", relay_port))
+        reader, writer = await asyncio.open_connection(sock=sock)
+        stalled_at, still = -1, 0
+        for _ in range(200):
+            await asyncio.sleep(0.02)
+            still = still + 1 if handle.bytes_out == stalled_at else 0
+            stalled_at = handle.bytes_out
+            if still == 10:
+                break
+        assert still == 10, "bytes_out never stopped growing"
+        # Without backpressure the relay reads all 8 MiB. With it, what it
+        # has read is its own 64 KiB high-water mark plus the kernel's
+        # buffers toward the client: a small receive buffer here, and a
+        # send buffer that loopback grows to tcp_wmem's maximum (4 MiB by
+        # default), so it stalls near 4.3 MiB.
+        assert 0 < stalled_at < len(flood) * 3 // 4, stalled_at
+        writer.write_eof()
+        back = await asyncio.wait_for(reader.read(), 10.0)
+        assert hashlib.sha256(back).digest() == hashlib.sha256(flood).digest()
+        assert handle.bytes_out == len(flood)
+        writer.close()
+        await writer.wait_closed()
+    finally:
+        await close_relay(handle)
+        target.close()
+        await target.wait_closed()
 
 
 async def test_refused_target_closes_client_promptly():
