@@ -25,7 +25,7 @@ EXIT_FATAL = 2
 class ProxyApp:
     """All the moving parts, assembled and started/stopped together."""
 
-    def __init__(self, config: ProxyConfig, *, dial: Optional[Dialer] = None):
+    def __init__(self, config: ProxyConfig, *, dial: Dialer = asyncio.open_connection):
         self.config = config
         self.allocator = PortAllocator(config.port_range)
 

@@ -17,17 +17,16 @@ from .dial import DialLog, PURPOSE_XMLRPC, make_dialer
 log = logging.getLogger(__name__)
 
 PROBE_CALLER_ID = "/cleanup"
+PROBE_TIMEOUT = 1.5  # seconds a node has to answer getPid before it counts as dead
 
 
 async def cleanup_stale_registrations(
     master_uri: str,
     *,
     dial_log: Optional[DialLog] = None,
-    actor: str = "cleanup",
-    probe_timeout: float = 1.5,
 ) -> List[str]:
     """Remove registrations of unreachable nodes; returns their names."""
-    dial = make_dialer(dial_log, actor, PURPOSE_XMLRPC) if dial_log else None
+    dial = make_dialer(dial_log, "cleanup", PURPOSE_XMLRPC)
     master = XmlRpcClient(master_uri, timeout=5.0, dial=dial)
 
     state = await master.call_ros("getSystemState", [PROBE_CALLER_ID])
@@ -46,7 +45,7 @@ async def cleanup_stale_registrations(
         if lookup.code != 1:
             continue
         node_api = lookup.value
-        if await _alive(node_api, dial, probe_timeout):
+        if await _alive(node_api, dial):
             continue
         log.info("cleanup: %s at %s is dead; unregistering", node, node_api)
         removed.append(node)
@@ -66,8 +65,8 @@ async def cleanup_stale_registrations(
     return removed
 
 
-async def _alive(node_api: str, dial, timeout: float) -> bool:
-    client = XmlRpcClient(node_api, timeout=timeout, dial=dial)
+async def _alive(node_api: str, dial) -> bool:
+    client = XmlRpcClient(node_api, timeout=PROBE_TIMEOUT, dial=dial)
     try:
         result = await client.call_ros("getPid", [PROBE_CALLER_ID])
         return result.code == 1

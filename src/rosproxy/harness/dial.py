@@ -54,7 +54,8 @@ class DialLog:
 def make_dialer(
     log: Optional[DialLog], actor: str, purpose: str
 ) -> Callable:
-    """An asyncio open_connection wrapper that records before connecting."""
+    """An asyncio open_connection wrapper that records each dial in log,
+    when there is one, before connecting."""
 
     async def dial(host: str, port: int):
         if log is not None:

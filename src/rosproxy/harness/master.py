@@ -72,13 +72,12 @@ class MiniMaster:
         port: int,
         *,
         dial_log: Optional[DialLog] = None,
-        actor: str = "master",
     ):
         self.host = host
         self.port = port
         self.state = MiniMasterState()
         self.uri = "http://%s:%d/" % (host, port)
-        self._dial = make_dialer(dial_log, actor, PURPOSE_XMLRPC) if dial_log else None
+        self._dial = make_dialer(dial_log, "master", PURPOSE_XMLRPC)
         self._server: Optional[asyncio.AbstractServer] = None
         self._update_tasks: Set[asyncio.Task] = set()
 

@@ -7,6 +7,11 @@ mode at the proxy — and the node code cannot tell the difference. Every
 actor dials through a recording dialer, and each proxied scenario
 asserts that external actors only ever dialed external addresses.
 
+Every scenario runs inside one segment(): a mini master and, proxied, a
+proxy in front of it. Leaving the segment kills the actors the scenario
+adopted, stops the proxy and fails the report on any lease it still
+holds.
+
 Each scenario returns a ScenarioReport: key=value details plus a list
 of failures (empty means pass). Reports deliberately carry their
 evidence — digests, snapshots, timings, lease counts — so a failed run
@@ -16,19 +21,21 @@ is diagnosable from its printout.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import functools
 import hashlib
 import random
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import AsyncIterator, Dict, List, Optional
 
 from ..app import ProxyApp
 from ..config import ProxyConfig
-from ..http11 import split_http_uri, split_rosrpc_uri
+from ..http11 import hang_up, split_http_uri, split_rosrpc_uri
 from ..ports import PortRange
 from .cleanup import cleanup_stale_registrations
-from .dial import DialLog, make_dialer
+from .dial import PURPOSE_TCPROS, DialLog, make_dialer
 from .master import MiniMaster
 from .nodes import Listener, ServiceNode, Talker, call_service
 
@@ -42,7 +49,11 @@ EXTERNAL_PREFIXES = ("127.0.2.",)
 
 EXTERNAL_ACTORS = ("master", "listener", "client", "cleanup", "probe")
 
-DEFAULT_SEED = 20260817
+SEED = 20260817  # of the pubsub payloads and the service request
+REQUEST_SIZE = 4096  # bytes the service scenario sends to be echoed
+DELIVER_TIMEOUT = 8.0  # seconds the pubsub listener has for every payload
+RANGE_SIZE = 12  # ports the proxy under test leases from
+REQUEST_TIMEOUT = 3.0  # seconds per call the proxy under test forwards
 
 
 @dataclass
@@ -82,7 +93,7 @@ class ScenarioReport:
 # -- port scouting ----------------------------------------------------
 
 
-def free_port(host: str = "") -> int:
+def free_port(host: str) -> int:
     with socket.socket() as sock:
         sock.bind((host, 0))
         return sock.getsockname()[1]
@@ -114,55 +125,48 @@ async def _poll_refused(host: str, port: int, timeout: float) -> float:
             _, writer = await asyncio.open_connection(host, port)
         except OSError:
             return time.monotonic() - start
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except OSError:
-            pass
+        await hang_up(writer)
         if time.monotonic() - start > timeout:
             raise TimeoutError("%s:%d still accepting after %.1fs" % (host, port, timeout))
         await asyncio.sleep(0.02)
 
 
-# -- proxy-under-test wrapper ------------------------------------------
+# -- the segment: mini master, proxy under test, adopted actors ---------
 
 
 class ProxyUnderTest:
+    """A ProxyApp on a free block of ports: the main port, then a lease
+    range of RANGE_SIZE ports. Settings not given here keep ProxyConfig's
+    defaults."""
+
     def __init__(
         self,
         upstream_master_uri: str,
         *,
         dial_log: Optional[DialLog] = None,
-        ping_interval: float = 10.0,
-        ping_failures: int = 3,
-        purge_grace: float = 30.0,
-        range_size: int = 12,
-        port_range: Optional[PortRange] = None,
-        main_port: Optional[int] = None,
+        ping_interval: float = ProxyConfig.ping_interval,
+        ping_failures: int = ProxyConfig.ping_failure_threshold,
     ):
-        self.port_range = port_range or free_port_range(range_size)
-        if main_port is None:
-            main_port = free_port("")
-            while main_port in self.port_range:
-                main_port = free_port("")
+        block = free_port_range(RANGE_SIZE + 1)
         self.config = ProxyConfig(
             upstream_master_uri=upstream_master_uri,
             advertised_host=ADVERTISED_HOST,
-            main_port=main_port,
-            port_range=self.port_range,
+            main_port=block.low,
+            port_range=PortRange(block.low + 1, block.high),
             ping_interval=ping_interval,
             ping_failure_threshold=ping_failures,
-            purge_grace=purge_grace,
-            request_timeout=3.0,
-            bind_host="",
+            request_timeout=REQUEST_TIMEOUT,
         ).validate()
-        dial = make_dialer(dial_log, "proxy", "any") if dial_log else None
-        self.app = ProxyApp(self.config, dial=dial)
+        self.app = ProxyApp(self.config, dial=make_dialer(dial_log, "proxy", "any"))
 
     @property
     def internal_master_uri(self) -> str:
         """What nodes behind the proxy get as their master URI."""
         return "http://%s:%d/" % (PROXY_INTERNAL_HOST, self.config.main_port)
+
+    @property
+    def port_range(self) -> PortRange:
+        return self.config.port_range
 
     @property
     def allocator(self):
@@ -181,6 +185,58 @@ class ProxyUnderTest:
 
     async def stop(self) -> None:
         await self.app.stop()
+
+
+class Segment:
+    """A mini master on the external segment, the proxy in front of it
+    when proxied, their dial log, and the actors to kill at the end."""
+
+    def __init__(self):
+        self.dial_log = DialLog()
+        self.master = MiniMaster(EXTERNAL_HOST, free_port(EXTERNAL_HOST), dial_log=self.dial_log)
+        self.proxy: Optional[ProxyUnderTest] = None
+        self.actors: list = []
+
+    @property
+    def internal_master_uri(self) -> str:
+        """The master URI of nodes on the internal segment."""
+        return self.master.uri if self.proxy is None else self.proxy.internal_master_uri
+
+    def adopt(self, actor):
+        self.actors.append(actor)
+        return actor
+
+
+@contextlib.asynccontextmanager
+async def segment(
+    report: ScenarioReport,
+    *,
+    ping_interval: float = ProxyConfig.ping_interval,
+    ping_failures: int = ProxyConfig.ping_failure_threshold,
+) -> AsyncIterator[Segment]:
+    """Start the master and, if report.mode is proxied, a ProxyUnderTest
+    with the given pings. On exit, kill the adopted actors (last first),
+    stop the proxy, put leases_final and fail the report on a leaked
+    lease, then stop the master."""
+    seg = Segment()
+    await seg.master.start()
+    try:
+        if report.mode == "proxied":
+            seg.proxy = ProxyUnderTest(
+                seg.master.uri, dial_log=seg.dial_log,
+                ping_interval=ping_interval, ping_failures=ping_failures,
+            )
+            await seg.proxy.start()
+        yield seg
+    finally:
+        for actor in reversed(seg.actors):
+            await actor.kill()
+        if seg.proxy is not None:
+            await seg.proxy.stop()
+            leases = seg.proxy.allocator.live_leases()
+            report.put("leases_final", len(leases))
+            report.check(not leases, "leases leaked after proxy shutdown: %r" % leases)
+        await seg.master.stop()
 
 
 # -- shared assertions -------------------------------------------------
@@ -234,8 +290,8 @@ def check_segmentation(report: ScenarioReport, dial_log: DialLog,
         report.check(False, "segmentation violation: %s" % v)
 
 
-def _payloads(count: int, seed: int) -> List[bytes]:
-    rng = random.Random(seed)
+def _payloads(count: int) -> List[bytes]:
+    rng = random.Random(SEED)
     return [
         ("msg %05d %08x" % (i, rng.getrandbits(32))).encode()
         for i in range(count)
@@ -254,52 +310,34 @@ def _digest(blobs: List[bytes]) -> str:
 
 
 async def scenario_pubsub(
-    mode: str = "proxied",
-    *,
-    payload_count: int = 5,
-    listener_first: bool = False,
-    seed: int = DEFAULT_SEED,
-    port_range: Optional[PortRange] = None,
-    deliver_timeout: float = 8.0,
+    mode: str, *, payload_count: int = 5, listener_first: bool = False
 ) -> ScenarioReport:
     """One talker, one listener, payloads must arrive byte-identical."""
     name = "pubsub-listener-first" if listener_first else "pubsub"
     report = ScenarioReport(name, mode)
-    proxied = mode == "proxied"
-    payloads = _payloads(payload_count, seed)
-    dial_log = DialLog()
+    payloads = _payloads(payload_count)
 
-    master = MiniMaster(EXTERNAL_HOST, free_port(EXTERNAL_HOST), dial_log=dial_log)
-    await master.start()
-    proxy = None
-    talker = listener = None
-    try:
-        if proxied:
-            proxy = ProxyUnderTest(master.uri, dial_log=dial_log, port_range=port_range)
-            await proxy.start()
-            talker_master = proxy.internal_master_uri
-        else:
-            talker_master = master.uri
-
-        talker = Talker(
-            "/talker", talker_master, "/chat", payloads,
-            host=INTERNAL_NODE_HOST, dial_log=dial_log,
-        )
-        listener = Listener(
+    async with segment(report) as seg:
+        master, proxy = seg.master, seg.proxy
+        talker = seg.adopt(Talker(
+            "/talker", seg.internal_master_uri, "/chat", payloads,
+            host=INTERNAL_NODE_HOST, dial_log=seg.dial_log,
+        ))
+        listener = seg.adopt(Listener(
             "/listener", master.uri, "/chat", payload_count,
-            host=EXTERNAL_HOST, dial_log=dial_log,
-        )
+            host=EXTERNAL_HOST, dial_log=seg.dial_log,
+        ))
 
         started = time.monotonic()
         order = (listener, talker) if listener_first else (talker, listener)
         for node in order:
             await node.start()
         try:
-            received = await listener.wait_complete(deliver_timeout)
+            received = await listener.wait_complete(DELIVER_TIMEOUT)
         except asyncio.TimeoutError:
             received = list(listener.received)
             report.check(False, "delivery timed out after %.1fs (%d/%d payloads)"
-                         % (deliver_timeout, len(received), payload_count))
+                         % (DELIVER_TIMEOUT, len(received), payload_count))
         duration = time.monotonic() - started
 
         report.put("payload_count", payload_count)
@@ -309,9 +347,9 @@ async def scenario_pubsub(
         report.check(received == payloads, "received payloads differ from sent")
         report.put("delivered", received == payloads)
 
-        if proxied:
+        if proxy is not None:
             check_registry_hygiene(report, master, proxy, ["/talker"])
-            check_segmentation(report, dial_log, internal_actors=["talker"])
+            check_segmentation(report, seg.dial_log, internal_actors=["talker"])
             report.put("leases_active", len(proxy.allocator.live_leases()))
             report.put("port_assignments", proxy.port_assignments())
             report.check(
@@ -321,57 +359,22 @@ async def scenario_pubsub(
 
         await listener.stop()
         await talker.stop()
-        report.put(
-            "master_empty_after",
-            not master.state.node_names() or master.state.node_names() == set(),
-        )
-    finally:
-        if listener is not None:
-            await listener.stop(unregister=False)
-        if talker is not None:
-            await talker.kill()
-        if proxy is not None:
-            await proxy.stop()
-            report.put("leases_final", len(proxy.allocator.live_leases()))
-        await master.stop()
-    if proxied:
-        report.check(
-            report.details.get("leases_final") == "0",
-            "leases leaked after proxy shutdown",
-        )
+        report.put("master_empty_after", not master.state.node_names())
     return report
 
 
-async def scenario_service(
-    mode: str = "proxied",
-    *,
-    request_size: int = 4096,
-    seed: int = DEFAULT_SEED,
-    port_range: Optional[PortRange] = None,
-) -> ScenarioReport:
+async def scenario_service(mode: str) -> ScenarioReport:
     """Echo service behind the proxy, called from outside via lookup."""
     report = ScenarioReport("service", mode)
-    proxied = mode == "proxied"
-    rng = random.Random(seed)
-    request = bytes(rng.getrandbits(8) for _ in range(request_size))
-    dial_log = DialLog()
+    rng = random.Random(SEED)
+    request = bytes(rng.getrandbits(8) for _ in range(REQUEST_SIZE))
 
-    master = MiniMaster(EXTERNAL_HOST, free_port(EXTERNAL_HOST), dial_log=dial_log)
-    await master.start()
-    proxy = None
-    service = None
-    try:
-        if proxied:
-            proxy = ProxyUnderTest(master.uri, dial_log=dial_log, port_range=port_range)
-            await proxy.start()
-            service_master = proxy.internal_master_uri
-        else:
-            service_master = master.uri
-
-        service = ServiceNode(
-            "/echoer", service_master, "/echo_bytes",
+    async with segment(report) as seg:
+        master, proxy, dial_log = seg.master, seg.proxy, seg.dial_log
+        service = seg.adopt(ServiceNode(
+            "/echoer", seg.internal_master_uri, "/echo_bytes",
             host=INTERNAL_NODE_HOST, dial_log=dial_log,
-        )
+        ))
         await service.start()
 
         registered_api = master.state.services["/echo_bytes"][2]
@@ -384,13 +387,13 @@ async def scenario_service(
         report.put("echo_ok", response == request)
         report.check(response == request, "service response differs from request")
 
-        if proxied:
+        if proxy is not None:
             check_registry_hygiene(report, master, proxy, ["/echoer"])
             report.put("leases_active", len(proxy.allocator.live_leases()))
             report.put("port_assignments", proxy.port_assignments())
 
         await service.stop()
-        if proxied:
+        if proxy is not None:
             # unregisterService passes through untouched, so the node's
             # real service_api does not match the advertised one the
             # master holds; the entry lingers until a cleanup sweep
@@ -401,28 +404,11 @@ async def scenario_service(
             check_segmentation(report, dial_log, internal_actors=["echoer"])
         report.put("master_empty_after", not master.state.services)
         report.check(not master.state.services, "service entry survived teardown")
-    finally:
-        if service is not None:
-            await service.kill()
-        if proxy is not None:
-            await proxy.stop()
-            report.put("leases_final", len(proxy.allocator.live_leases()))
-        await master.stop()
-    if proxied:
-        report.check(
-            report.details.get("leases_final") == "0",
-            "leases leaked after proxy shutdown",
-        )
     return report
 
 
 async def scenario_stale(
-    mode: str = "proxied",
-    *,
-    ping_interval: float = 1.0,
-    ping_failures: int = 3,
-    seed: int = DEFAULT_SEED,
-    port_range: Optional[PortRange] = None,
+    mode: str, *, ping_interval: float = 1.0, ping_failures: int = 3
 ) -> ScenarioReport:
     """Kill a registered node; its entries must become removable.
 
@@ -431,52 +417,32 @@ async def scenario_stale(
     Direct: the cleanup sweep probes the node's own (dead) endpoint.
     """
     report = ScenarioReport("stale", mode)
-    proxied = mode == "proxied"
-    dial_log = DialLog()
 
-    master = MiniMaster(EXTERNAL_HOST, free_port(EXTERNAL_HOST), dial_log=dial_log)
-    await master.start()
-    proxy = None
-    talker = None
-    try:
-        if proxied:
-            proxy = ProxyUnderTest(
-                master.uri,
-                dial_log=dial_log,
-                ping_interval=ping_interval,
-                ping_failures=ping_failures,
-                port_range=port_range,
-            )
-            await proxy.start()
-            talker_master = proxy.internal_master_uri
-        else:
-            talker_master = master.uri
-
-        talker = Talker(
-            "/talker", talker_master, "/chat", [b"x"],
+    async with segment(report, ping_interval=ping_interval,
+                       ping_failures=ping_failures) as seg:
+        master, proxy, dial_log = seg.master, seg.proxy, seg.dial_log
+        talker = seg.adopt(Talker(
+            "/talker", seg.internal_master_uri, "/chat", [b"x"],
             host=INTERNAL_NODE_HOST, dial_log=dial_log,
-        )
+        ))
         await talker.start()
         report.put("registered", "/talker" in master.state.node_names())
         report.check("/talker" in master.state.node_names(), "registration missing")
 
-        probe_uri = None
-        if proxied:
+        if proxy is not None:
             record = proxy.app.registry.get("/talker")
             gateway_port = record.gateway_port + proxy.config.host_port_offset
             # the advertised endpoint answers while the node lives
-            dial_log.record("probe", ADVERTISED_HOST, gateway_port, "tcpros")
-            reader, writer = await asyncio.open_connection(ADVERTISED_HOST, gateway_port)
-            writer.close()
-            await writer.wait_closed()
-            probe_uri = (ADVERTISED_HOST, gateway_port)
+            probe = make_dialer(dial_log, "probe", PURPOSE_TCPROS)
+            _, writer = await probe(ADVERTISED_HOST, gateway_port)
+            await hang_up(writer)
 
         killed_at = time.monotonic()
         await talker.kill()
 
-        if proxied:
+        if proxy is not None:
             budget = ping_interval * (ping_failures + 2)
-            await _poll_refused(probe_uri[0], probe_uri[1], budget + 2.0)
+            await _poll_refused(ADVERTISED_HOST, gateway_port, budget + 2.0)
             refusal_after = time.monotonic() - killed_at
             report.put("refusal_after_s", refusal_after)
             lo = ping_interval * (ping_failures - 1)
@@ -504,23 +470,14 @@ async def scenario_stale(
             "stale registration survived cleanup",
         )
 
-        if proxied:
-            check_segmentation(report, dial_log, internal_actors=["talker"])
-    finally:
-        if talker is not None:
-            await talker.kill()
         if proxy is not None:
-            await proxy.stop()
-            report.put("leases_final", len(proxy.allocator.live_leases()))
-        await master.stop()
+            check_segmentation(report, dial_log, internal_actors=["talker"])
     return report
 
 
 SCENARIOS = {
     "pubsub": scenario_pubsub,
-    "pubsub-listener-first": lambda mode, **kw: scenario_pubsub(
-        mode, listener_first=True, **kw
-    ),
+    "pubsub-listener-first": functools.partial(scenario_pubsub, listener_first=True),
     "service": scenario_service,
     "stale": scenario_stale,
 }

@@ -264,7 +264,7 @@ async def http_post(
     body: bytes,
     *,
     timeout: float = 5.0,
-    dial: Optional[Dialer] = None,
+    dial: Dialer = asyncio.open_connection,
 ) -> bytes:
     """POST body to host:port, return the response body.
 
@@ -272,10 +272,7 @@ async def http_post(
     """
 
     async def roundtrip():
-        if dial is not None:
-            reader, writer = await dial(host, port)
-        else:
-            reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await dial(host, port)
         try:
             head = (
                 "POST %s HTTP/1.1\r\n"
@@ -326,7 +323,7 @@ class XmlRpcClient:
         uri: str,
         *,
         timeout: float = 5.0,
-        dial: Optional[Dialer] = None,
+        dial: Dialer = asyncio.open_connection,
     ):
         self.uri = uri
         self.host, self.port, self.path = split_http_uri(uri)
@@ -360,7 +357,7 @@ async def forward(
     call: MethodCall,
     *,
     timeout: float,
-    dial: Optional[Dialer],
+    dial: Dialer,
     target: str,
 ) -> MethodResponse:
     """Relay call to uri and return its answer.

@@ -80,8 +80,8 @@ class Registry:
     """The shared node map; all mutation goes through one lock.
 
     It also owns what every listener and outbound connection of the proxy
-    shares: the bind host, the timeout of a forwarded call and the dialer
-    (None: asyncio.open_connection). The gateways read them from here.
+    shares: the bind host, the timeout of a forwarded call and the dialer.
+    The gateways read them from here.
     """
 
     def __init__(
@@ -94,7 +94,7 @@ class Registry:
         ping_interval: float = 10.0,
         ping_failure_threshold: int = 3,
         rpc_timeout: float = 5.0,
-        dial: Optional[Dialer] = None,
+        dial: Dialer = asyncio.open_connection,
     ):
         self.allocator = allocator
         self.gateway_factory = gateway_factory

@@ -27,7 +27,6 @@ from __future__ import annotations
 import asyncio
 import logging
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .http11 import Dialer, close_server, connection_tasks, hang_up, listen
 from .ports import PortLease
@@ -98,13 +97,11 @@ class _Leg(asyncio.Protocol):
 
 
 async def _serve_connection(
-    client_reader, client_writer, handle: RelayHandle, dial: Optional[Dialer]
+    client_reader, client_writer, handle: RelayHandle, dial: Dialer
 ) -> None:
     handle.accepted_total += 1
     try:
-        target_reader, target_writer = await (dial or asyncio.open_connection)(
-            handle.target_host, handle.target_port
-        )
+        target_reader, target_writer = await dial(handle.target_host, handle.target_port)
     except (ConnectionError, OSError) as exc:
         # Target gone: the honest translation is to hang up promptly.
         log.debug("relay :%d target %s:%d refused: %s",
@@ -143,7 +140,7 @@ async def open_relay(
     target_host: str,
     target_port: int,
     *,
-    dial: Optional[Dialer] = None,
+    dial: Dialer = asyncio.open_connection,
 ) -> RelayHandle:
     """Start listening on the leased port, relaying to target_host:port."""
     handle = RelayHandle(

@@ -1,10 +1,14 @@
 """Shared test utilities: strict value comparison, random value generation,
-free-port discovery and connect polling."""
+free-port discovery, connect polling and finding the Pythons that start."""
 
 import asyncio
+import glob
+import os
 import random
+import shutil
 import socket
 import string
+import subprocess
 import time
 
 from rosproxy.xmlrpc_codec import RpcDateTime
@@ -118,3 +122,14 @@ async def poll_until(predicate, timeout=5.0, interval=0.025):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def interpreter(name):
+    """The first of the python3.X on PATH and pyenv's python3.X builds that
+    starts. A pyenv shim for a version that is installed but not selected
+    exits 127, so the builds are tried by full path too."""
+    pyenv = os.path.expanduser("~/.pyenv/versions/%s.*/bin/%s" % (name[len("python"):], name))
+    for exe in [shutil.which(name)] + sorted(glob.glob(pyenv)):
+        if exe and subprocess.run([exe, "-c", "pass"], capture_output=True, timeout=30).returncode == 0:
+            return exe
+    return None

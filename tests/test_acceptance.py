@@ -163,7 +163,8 @@ async def test_criterion_3_rewrite_completeness():
     upstream_port = free_port()
     upstream = await serve_xmlrpc("127.0.0.1", upstream_port, upstream_dispatch)
 
-    low, high = free_range(8, host="")
+    main_port, high = free_range(9, host="")  # the main port, then the lease range
+    low = main_port + 1
     allocator = PortAllocator(PortRange(low, high))
     parts = {}
 
@@ -174,7 +175,7 @@ async def test_criterion_3_rewrite_completeness():
     manager = SlaveGatewayManager(registry, ADVERTISED_HOST)
     parts["manager"] = manager
     gateway = MasterGateway(
-        registry, manager, "http://127.0.0.1:%d/" % upstream_port, main_port=free_port(),
+        registry, manager, "http://127.0.0.1:%d/" % upstream_port, main_port=main_port,
     )
 
     # a real internal slave so requestTopic has something to answer it
@@ -401,7 +402,8 @@ async def test_criterion_6_resource_conservation():
     master = MiniMaster("127.0.0.1", free_port())
     await master.start()
 
-    low, high = free_range(56)
+    main_port, high = free_range(57)  # the main port, then the lease range
+    low = main_port + 1
     allocator = PortAllocator(PortRange(low, high))
     parts = {}
 
@@ -412,7 +414,7 @@ async def test_criterion_6_resource_conservation():
                         grace_period=300.0, rpc_timeout=2.0)
     manager = SlaveGatewayManager(registry, ADVERTISED_HOST)
     parts["manager"] = manager
-    gateway = MasterGateway(registry, manager, master.uri, main_port=free_port())
+    gateway = MasterGateway(registry, manager, master.uri, main_port=main_port)
 
     rng = make_rng(606)
     node_count = 12

@@ -66,9 +66,9 @@ async def start_upstream_stub():
     return server, "http://127.0.0.1:%d/" % port, calls
 
 
-def build_gateway(upstream_uri, range_size=8, main_port=None, offset=0):
-    low, high = free_range(range_size)
-    allocator = PortAllocator(PortRange(low, high))
+def build_gateway(upstream_uri, range_size=8, offset=0):
+    main_port, high = free_range(range_size + 1)  # the main port, then the lease range
+    allocator = PortAllocator(PortRange(main_port + 1, high))
     parts = {}
 
     async def factory(record):
@@ -77,7 +77,7 @@ def build_gateway(upstream_uri, range_size=8, main_port=None, offset=0):
     registry = Registry(allocator, factory, bind_host="127.0.0.1", rpc_timeout=2.0)
     manager = SlaveGatewayManager(registry, ADV, host_port_offset=offset)
     parts["manager"] = manager
-    gateway = MasterGateway(registry, manager, upstream_uri, main_port=main_port or free_port())
+    gateway = MasterGateway(registry, manager, upstream_uri, main_port=main_port)
     return gateway, registry, manager, allocator
 
 
@@ -369,8 +369,8 @@ async def test_reregistration_is_idempotent_incl_advertised_uri_echo():
 
 async def test_http_ingress_and_node_alias_routing():
     upstream, uri, _ = await start_upstream_stub()
-    main_port = free_port()
-    gateway, registry, manager, _ = build_gateway(uri, main_port=main_port)
+    gateway, registry, manager, _ = build_gateway(uri)
+    main_port = gateway.main_port
 
     async def node_dispatch(path, call, peer):
         return MethodSuccess([1, "pid", 31337])

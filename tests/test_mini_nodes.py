@@ -10,38 +10,20 @@ import pytest
 
 from rosproxy.harness.cleanup import cleanup_stale_registrations
 from rosproxy.harness.dial import DialLog
-from rosproxy.harness.master import MiniMaster
 from rosproxy.harness.nodes import Listener, ServiceNode, Talker, call_service, type_md5
+from rosproxy.harness.scenarios import ScenarioReport, segment
 from rosproxy.harness.wire import read_frame, read_header, write_header
 
-from helpers import free_port, poll_until
 
-
-class Stage:
-    """Mini master plus whatever actors the test registers for teardown."""
-
-    def __init__(self):
-        self.master = None
-        self._actors = []
-
-    async def __aenter__(self):
-        self.master = MiniMaster("127.0.0.1", free_port())
-        await self.master.start()
-        return self
-
-    async def __aexit__(self, *exc):
-        for actor in reversed(self._actors):
-            await actor.kill()
-        await self.master.stop()
-
-    def adopt(self, actor):
-        self._actors.append(actor)
-        return actor
+def direct_segment():
+    """A direct segment: the mini master alone. Actors adopted on it are
+    killed when it ends."""
+    return segment(ScenarioReport("mini-nodes", "direct"))
 
 
 async def test_talker_then_listener_delivers_in_order():
     payloads = [b"alpha", b"beta", b"gamma"]
-    async with Stage() as stage:
+    async with direct_segment() as stage:
         talker = stage.adopt(Talker("/talker", stage.master.uri, "/chat", payloads))
         listener = stage.adopt(
             Listener("/listener", stage.master.uri, "/chat", len(payloads))
@@ -54,7 +36,7 @@ async def test_talker_then_listener_delivers_in_order():
 
 async def test_listener_first_is_fed_via_publisher_update():
     payloads = [b"late", b"bloomer"]
-    async with Stage() as stage:
+    async with direct_segment() as stage:
         listener = stage.adopt(
             Listener("/listener", stage.master.uri, "/chat", len(payloads))
         )
@@ -66,7 +48,7 @@ async def test_listener_first_is_fed_via_publisher_update():
 
 async def test_two_listeners_each_get_full_stream():
     payloads = [b"x%d" % i for i in range(4)]
-    async with Stage() as stage:
+    async with direct_segment() as stage:
         talker = stage.adopt(Talker("/talker", stage.master.uri, "/chat", payloads))
         await talker.start()
         listeners = [
@@ -81,7 +63,7 @@ async def test_two_listeners_each_get_full_stream():
 
 
 async def test_talker_rejects_wrong_topic_header():
-    async with Stage() as stage:
+    async with direct_segment() as stage:
         talker = stage.adopt(Talker("/talker", stage.master.uri, "/chat", [b"hi"]))
         await talker.start()
         reader, writer = await asyncio.open_connection(talker.host, talker.data_port)
@@ -103,7 +85,7 @@ async def test_talker_rejects_wrong_topic_header():
 
 
 async def test_talker_requesttopic_declines_unknown_topic_and_protocol():
-    async with Stage() as stage:
+    async with direct_segment() as stage:
         talker = stage.adopt(Talker("/talker", stage.master.uri, "/chat", [b"hi"]))
         await talker.start()
         from rosproxy.http11 import XmlRpcClient
@@ -119,7 +101,7 @@ async def test_talker_requesttopic_declines_unknown_topic_and_protocol():
 
 
 async def test_service_echo_round_trip():
-    async with Stage() as stage:
+    async with direct_segment() as stage:
         service = stage.adopt(ServiceNode("/echoer", stage.master.uri, "/echo"))
         await service.start()
         answer = await call_service(stage.master.uri, "/client", "/echo", b"payload!")
@@ -128,7 +110,7 @@ async def test_service_echo_round_trip():
 
 
 async def test_service_transform_is_applied():
-    async with Stage() as stage:
+    async with direct_segment() as stage:
         service = stage.adopt(
             ServiceNode(
                 "/upper", stage.master.uri, "/upper", transform=lambda b: b.upper()
@@ -139,13 +121,13 @@ async def test_service_transform_is_applied():
 
 
 async def test_call_service_unknown_service_raises():
-    async with Stage() as stage:
+    async with direct_segment() as stage:
         with pytest.raises(RuntimeError):
             await call_service(stage.master.uri, "/client", "/nothing", b"x")
 
 
 async def test_stop_unregisters_everything():
-    async with Stage() as stage:
+    async with direct_segment() as stage:
         talker = Talker("/talker", stage.master.uri, "/chat", [b"x"])
         listener = Listener("/listener", stage.master.uri, "/chat", 1)
         service = ServiceNode("/svc", stage.master.uri, "/echo")
@@ -164,7 +146,7 @@ async def test_stop_unregisters_everything():
 
 
 async def test_cleanup_removes_only_dead_nodes():
-    async with Stage() as stage:
+    async with direct_segment() as stage:
         dead = Talker("/dead", stage.master.uri, "/chat", [b"x"])
         alive = stage.adopt(Talker("/alive", stage.master.uri, "/chat", [b"y"]))
         svc = ServiceNode("/dead_svc", stage.master.uri, "/echo")
@@ -184,7 +166,7 @@ async def test_cleanup_removes_only_dead_nodes():
 
 
 async def test_cleanup_on_clean_graph_is_a_noop():
-    async with Stage() as stage:
+    async with direct_segment() as stage:
         alive = stage.adopt(Talker("/alive", stage.master.uri, "/chat", [b"y"]))
         await alive.start()
         removed = await cleanup_stale_registrations(stage.master.uri)
@@ -194,7 +176,7 @@ async def test_cleanup_on_clean_graph_is_a_noop():
 
 async def test_talker_streams_to_raw_subscriber_connection():
     payloads = [b"one", b"two"]
-    async with Stage() as stage:
+    async with direct_segment() as stage:
         talker = stage.adopt(Talker("/talker", stage.master.uri, "/chat", payloads))
         await talker.start()
         reader, writer = await asyncio.open_connection(talker.host, talker.data_port)

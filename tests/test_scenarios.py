@@ -5,15 +5,23 @@ keeping the master's view of the internal node confined to advertised
 addresses — that pair of properties is the whole point of the proxy.
 """
 
+import os
+import subprocess
+
 import pytest
 
 from rosproxy.harness import runner
 from rosproxy.harness.scenarios import (
     ADVERTISED_HOST,
+    ProxyUnderTest,
     scenario_pubsub,
     scenario_service,
     scenario_stale,
 )
+
+from helpers import interpreter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 async def test_pubsub_direct():
@@ -76,6 +84,24 @@ async def test_stale_proxied_timing_and_cleanup():
     assert report.details["leases_final"] == "0"
 
 
+async def test_a_leaked_lease_fails_every_proxied_scenario(monkeypatch):
+    stop = ProxyUnderTest.stop
+
+    async def leaky_stop(self):
+        await stop(self)
+        self.allocator.lease("leak", "127.0.1.1:1", "/leaker")
+
+    monkeypatch.setattr(ProxyUnderTest, "stop", leaky_stop)
+    for report in (
+        await scenario_pubsub("proxied"),
+        await scenario_service("proxied"),
+        await scenario_stale("proxied", ping_interval=0.3),
+    ):
+        assert not report.ok, report.lines()
+        assert report.details["leases_final"] == "1"
+        assert [f for f in report.failures if "leaked" in f and "/leaker" in f], report.lines()
+
+
 async def test_port_assignments_replay_identically():
     first = await scenario_pubsub("proxied")
     second = await scenario_pubsub("proxied")
@@ -103,3 +129,19 @@ def test_runner_cli_rejects_unknown_scenario():
     with pytest.raises(SystemExit) as exc:
         runner.main(["run", "warp-drive"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", ["python3.10", "python3.11", "python3.12", "python3.13"])
+def test_proxied_scenarios_on_each_python(name):
+    exe = interpreter(name)
+    if exe is None:
+        pytest.skip("%s does not start" % name)
+    for scenario in ("pubsub", "service"):
+        proc = subprocess.run(
+            [exe, "-m", "rosproxy.cli", "harness", "run", scenario, "--proxied"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        )
+        lines = proc.stdout.splitlines()
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "ok=true" in lines and "leases_final=0" in lines, proc.stdout
