@@ -18,6 +18,14 @@ round-trip stable:
 
 Everything here is pure functions over byte buffers: no shared state, safe
 from any number of concurrent handlers.
+
+The proxy decodes and re-encodes every call it relays, so the per-value
+path is kept short. ``ET.fromstring`` builds the tree and is the
+well-formedness check; it is the floor, and most of the cost of decoding a
+400-topic ``getSystemState`` answer. The walk over its tree indexes
+children instead of copying them into lists and tests ``string`` and
+``array`` first; the encoder tests ``str`` and then ``list``/``tuple``
+first, and text with nothing to escape is emitted as it is.
 """
 
 from __future__ import annotations
@@ -117,11 +125,23 @@ class RosResult:
 def _escape_text(text: str) -> str:
     # CR must go out as a charref: a literal CR would be normalized to LF
     # on the way back in, breaking round-trips.
-    return _xml_escape(text).replace("\r", "&#13;")
+    if "&" in text or "<" in text or ">" in text or "\r" in text:
+        return _xml_escape(text).replace("\r", "&#13;")
+    return text
 
 
 def _encode_value(value: RpcValue, out: list, depth: int) -> None:
-    if isinstance(value, bool):  # bool before int: bool is an int subclass
+    # Most common first: ROS answers are mostly strings inside arrays.
+    if isinstance(value, str):
+        out.append("<value><string>%s</string></value>" % _escape_text(value))
+    elif isinstance(value, (list, tuple)):
+        if depth >= MAX_DEPTH:
+            raise DepthExceeded("nesting deeper than %d" % MAX_DEPTH)
+        out.append("<value><array><data>")
+        for item in value:
+            _encode_value(item, out, depth + 1)
+        out.append("</data></array></value>")
+    elif isinstance(value, bool):  # bool before int: bool is an int subclass
         out.append("<value><boolean>%d</boolean></value>" % int(value))
     elif isinstance(value, int):
         if not _INT32_MIN <= value <= _INT32_MAX:
@@ -131,8 +151,6 @@ def _encode_value(value: RpcValue, out: list, depth: int) -> None:
         if not math.isfinite(value):
             raise ValueError("non-finite double %r cannot be encoded" % value)
         out.append("<value><double>%s</double></value>" % repr(value))
-    elif isinstance(value, str):
-        out.append("<value><string>%s</string></value>" % _escape_text(value))
     elif isinstance(value, (bytes, bytearray)):
         out.append(
             "<value><base64>%s</base64></value>"
@@ -143,13 +161,6 @@ def _encode_value(value: RpcValue, out: list, depth: int) -> None:
             "<value><dateTime.iso8601>%s</dateTime.iso8601></value>"
             % _escape_text(value.text)
         )
-    elif isinstance(value, (list, tuple)):
-        if depth >= MAX_DEPTH:
-            raise DepthExceeded("nesting deeper than %d" % MAX_DEPTH)
-        out.append("<value><array><data>")
-        for item in value:
-            _encode_value(item, out, depth + 1)
-        out.append("</data></array></value>")
     elif isinstance(value, dict):
         if depth >= MAX_DEPTH:
             raise DepthExceeded("nesting deeper than %d" % MAX_DEPTH)
@@ -222,17 +233,32 @@ def _text_of(elem: ET.Element) -> str:
 
 
 def _decode_value(elem: ET.Element, depth: int) -> RpcValue:
-    children = list(elem)
-    if not children:
+    # Most common first: ROS answers are mostly strings inside arrays.
+    count = len(elem)
+    if not count:
         # untyped <value>text</value> is a string
         return elem.text or ""
-    if len(children) > 1:
+    if count > 1:
         raise MalformedXml("<value> with more than one type element")
-    child = children[0]
-    if (elem.text or "").strip() or (child.tail or "").strip():
+    child = elem[0]
+    text, tail = elem.text, child.tail
+    if (text and not text.isspace()) or (tail and not tail.isspace()):
         raise MalformedXml("mixed text and element content in <value>")
     tag = child.tag
 
+    if tag == "string":
+        return _text_of(child)
+    if tag == "array":
+        if depth >= MAX_DEPTH:
+            raise DepthExceeded("nesting deeper than %d" % MAX_DEPTH)
+        if len(child) != 1 or child[0].tag != "data":
+            raise MalformedXml("<array> must contain exactly one <data>")
+        items = []
+        for item in child[0]:
+            if item.tag != "value":
+                raise MalformedXml("non-<value> element inside <data>")
+            items.append(_decode_value(item, depth + 1))
+        return items
     if tag in ("int", "i4"):
         text = _text_of(child).strip()
         try:
@@ -249,8 +275,6 @@ def _decode_value(elem: ET.Element, depth: int) -> RpcValue:
         if text == "0":
             return False
         raise MalformedXml("bad boolean %r" % text)
-    if tag == "string":
-        return _text_of(child)
     if tag == "double":
         text = _text_of(child).strip()
         try:
@@ -268,18 +292,6 @@ def _decode_value(elem: ET.Element, depth: int) -> RpcValue:
             raise MalformedXml("bad base64 payload") from exc
     if tag == "dateTime.iso8601":
         return RpcDateTime(_text_of(child))
-    if tag == "array":
-        if depth >= MAX_DEPTH:
-            raise DepthExceeded("nesting deeper than %d" % MAX_DEPTH)
-        parts = list(child)
-        if len(parts) != 1 or parts[0].tag != "data":
-            raise MalformedXml("<array> must contain exactly one <data>")
-        items = []
-        for item in parts[0]:
-            if item.tag != "value":
-                raise MalformedXml("non-<value> element inside <data>")
-            items.append(_decode_value(item, depth + 1))
-        return items
     if tag == "struct":
         if depth >= MAX_DEPTH:
             raise DepthExceeded("nesting deeper than %d" % MAX_DEPTH)
@@ -287,9 +299,12 @@ def _decode_value(elem: ET.Element, depth: int) -> RpcValue:
         for member in child:
             if member.tag != "member":
                 raise MalformedXml("non-<member> element inside <struct>")
-            name_el = member.find("name")
-            value_el = member.find("value")
-            if name_el is None or value_el is None or len(list(member)) != 2:
+            if len(member) != 2:
+                raise MalformedXml("<member> must contain <name> and <value>")
+            name_el, value_el = member  # <value> may come first
+            if name_el.tag != "name":
+                name_el, value_el = value_el, name_el
+            if name_el.tag != "name" or value_el.tag != "value":
                 raise MalformedXml("<member> must contain <name> and <value>")
             record[_text_of(name_el)] = _decode_value(value_el, depth + 1)
         return record
@@ -301,10 +316,9 @@ def _decode_params(params_el: ET.Element) -> list:
     for param in params_el:
         if param.tag != "param":
             raise MalformedXml("non-<param> element inside <params>")
-        values = list(param)
-        if len(values) != 1 or values[0].tag != "value":
+        if len(param) != 1 or param[0].tag != "value":
             raise MalformedXml("<param> must contain exactly one <value>")
-        params.append(_decode_value(values[0], 0))
+        params.append(_decode_value(param[0], 0))
     return params
 
 
@@ -334,20 +348,18 @@ def parse_response(body: bytes) -> MethodResponse:
     root = _parse_document(body)
     if root.tag != "methodResponse":
         raise MalformedXml("not a methodResponse document (root <%s>)" % root.tag)
-    children = list(root)
-    if len(children) != 1:
+    if len(root) != 1:
         raise MalformedXml("methodResponse must contain exactly one <params> or <fault>")
-    child = children[0]
+    child = root[0]
     if child.tag == "params":
         params = _decode_params(child)
         if len(params) != 1:
             raise MalformedXml("response must carry exactly one value, got %d" % len(params))
         return MethodSuccess(params[0])
     if child.tag == "fault":
-        values = list(child)
-        if len(values) != 1 or values[0].tag != "value":
+        if len(child) != 1 or child[0].tag != "value":
             raise MalformedXml("<fault> must contain exactly one <value>")
-        payload = _decode_value(values[0], 0)
+        payload = _decode_value(child[0], 0)
         if not isinstance(payload, dict):
             raise MalformedXml("fault payload is not a struct")
         code = payload.get("faultCode")

@@ -23,10 +23,11 @@ from rosproxy.harness.scenarios import (
     ADVERTISED_HOST,
     EXTERNAL_HOST,
     INTERNAL_NODE_HOST,
-    ProxyUnderTest,
+    ScenarioReport,
     scenario_pubsub,
     scenario_service,
     scenario_stale,
+    segment,
 )
 from rosproxy.http11 import XmlRpcClient, serve_xmlrpc, split_http_uri, split_rosrpc_uri
 from rosproxy.master_gateway import MasterGateway, REWRITE_RULES
@@ -104,17 +105,15 @@ async def test_criterion_1_proxied_pubsub():
 
 @criterion(2, "registry-hygiene")
 async def test_criterion_2_registry_hygiene():
-    master = MiniMaster(EXTERNAL_HOST, free_port(EXTERNAL_HOST))
-    await master.start()
-    proxy = ProxyUnderTest(master.uri)
-    talker = service = listener = None
-    try:
-        await proxy.start()
-        talker = Talker("/talker", proxy.internal_master_uri, "/chat", [b"x"],
-                        host=INTERNAL_NODE_HOST)
-        service = ServiceNode("/echoer", proxy.internal_master_uri, "/echo",
-                              host=INTERNAL_NODE_HOST)
-        listener = Listener("/listener", master.uri, "/chat", 1, host=EXTERNAL_HOST)
+    report = ScenarioReport("hygiene", "proxied")
+    async with segment(report) as seg:
+        master, proxy = seg.master, seg.proxy
+        talker = seg.adopt(Talker("/talker", seg.internal_master_uri, "/chat", [b"x"],
+                                  host=INTERNAL_NODE_HOST, dial_log=seg.dial_log))
+        service = seg.adopt(ServiceNode("/echoer", seg.internal_master_uri, "/echo",
+                                        host=INTERNAL_NODE_HOST, dial_log=seg.dial_log))
+        listener = seg.adopt(Listener("/listener", master.uri, "/chat", 1,
+                                      host=EXTERNAL_HOST, dial_log=seg.dial_log))
         await talker.start()
         await service.start()
         await listener.start()
@@ -141,12 +140,8 @@ async def test_criterion_2_registry_hygiene():
         listener_uris = master.state.uris_of("/listener")
         assert listener_uris == {listener.slave_uri}
         assert all(EXTERNAL_HOST in u for u in listener_uris)
-    finally:
-        for actor in (listener, service, talker):
-            if actor is not None:
-                await actor.kill()
-        await proxy.stop()
-        await master.stop()
+    # segment records a lease left after the proxy stops in the report
+    assert report.ok, report.failures
 
 
 # -- 3: rewrite completeness --------------------------------------------

@@ -1,3 +1,5 @@
+import xmlrpc.client
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,6 +190,60 @@ def test_ros_result_rejects_non_triples():
             RosResult.from_value(bad)
 
 
+# --- exact bytes -----------------------------------------------------------
+
+# One value holding every type the encoder emits, and its expected rendering.
+EVERY_TYPE = [
+    True, False, 2**31 - 1, -(2**31), 1.5, -0.0, 1e-9,
+    "a&b<c>d\re", "plain", "", b"\x00\xffbin", RpcDateTime("20261019T07:31:37"),
+    [], [[1, ["x"]]], ("t", 2), {}, {"a&<b>": {"\rk": "v"}},
+]
+EVERY_TYPE_XML = (
+    b"<value><array><data>"
+    b"<value><boolean>1</boolean></value><value><boolean>0</boolean></value>"
+    b"<value><int>2147483647</int></value><value><int>-2147483648</int></value>"
+    b"<value><double>1.5</double></value><value><double>-0.0</double></value>"
+    b"<value><double>1e-09</double></value>"
+    b"<value><string>a&amp;b&lt;c&gt;d&#13;e</string></value>"
+    b"<value><string>plain</string></value><value><string></string></value>"
+    b"<value><base64>AP9iaW4=</base64></value>"
+    b"<value><dateTime.iso8601>20261019T07:31:37</dateTime.iso8601></value>"
+    b"<value><array><data></data></array></value>"
+    b"<value><array><data><value><array><data><value><int>1</int></value>"
+    b"<value><array><data><value><string>x</string></value></data></array></value>"
+    b"</data></array></value></data></array></value>"
+    b"<value><array><data><value><string>t</string></value>"
+    b"<value><int>2</int></value></data></array></value>"
+    b"<value><struct></struct></value>"
+    b"<value><struct><member><name>a&amp;&lt;b&gt;</name><value><struct>"
+    b"<member><name>&#13;k</name><value><string>v</string></value></member>"
+    b"</struct></value></member></struct></value>"
+    b"</data></array></value>"
+)
+
+
+def test_encode_call_exact_bytes():
+    assert encode_call(MethodCall("probe", [EVERY_TYPE, "x"])) == (
+        b'<?xml version="1.0"?><methodCall><methodName>probe</methodName><params>'
+        b"<param>" + EVERY_TYPE_XML + b"</param>"
+        b"<param><value><string>x</string></value></param></params></methodCall>"
+    )
+
+
+def test_encode_response_exact_bytes():
+    assert encode_response(MethodSuccess(EVERY_TYPE)) == (
+        b'<?xml version="1.0"?><methodResponse><params><param>'
+        + EVERY_TYPE_XML + b"</param></params></methodResponse>"
+    )
+    assert encode_response(MethodFault(-32602, "bad <params> & \r")) == (
+        b'<?xml version="1.0"?><methodResponse><fault><value><struct>'
+        b"<member><name>faultCode</name><value><int>-32602</int></value></member>"
+        b"<member><name>faultString</name>"
+        b"<value><string>bad &lt;params&gt; &amp; &#13;</string></value></member>"
+        b"</struct></value></fault></methodResponse>"
+    )
+
+
 # --- depth limits -----------------------------------------------------------
 
 def nested_list(depth):
@@ -219,6 +275,55 @@ def test_deep_input_rejected_without_crash():
     )
     with pytest.raises(DepthExceeded):
         parse_call(body)
+
+
+# --- what the decoder accepts and rejects ------------------------------------
+
+# Shaped like getSystemState from a 400-topic graph: publishers,
+# subscribers, services.
+SYSTEM_STATE = [1, "current system state", [
+    [["/robot/t%d" % i, ["/node%d" % (i % 120), "/node%d" % (i % 7)]] for i in range(400)],
+    [["/robot/t%d" % i, ["/node%d" % (i % 3)]] for i in range(400)],
+    [["/srv%d" % i, ["/node%d" % i]] for i in range(120)],
+]]
+
+
+def _response(value_xml):
+    return (b"<methodResponse><params><param>" + value_xml
+            + b"</param></params></methodResponse>")
+
+
+def _nested_array(depth):
+    return (b"<value><array><data>" * depth + b"<value><int>0</int></value>"
+            + b"</data></array></value>" * depth)
+
+
+@pytest.mark.parametrize("body, expected", [
+    # stdlib rendering: pretty-printed, newline tails after every element
+    (xmlrpc.client.dumps((SYSTEM_STATE,), methodresponse=True).encode(), SYSTEM_STATE),
+    (_response(b"<value><struct><member><value><int>1</int></value><name>a</name>"
+               b"</member></struct></value>"), {"a": 1}),
+    (_response(b"<value>\n  <string> s </string>\n</value>"), " s "),
+    (_response(b"<value>plain text</value>"), "plain text"),
+    (_response(_nested_array(32)), nested_list(32)),
+    (_response(b"<value>a<int>1</int></value>"), MalformedXml),
+    (_response(b"<value><int>1</int>a</value>"), MalformedXml),
+    (_response(b"<value><int>1</int><string>x</string></value>"), MalformedXml),
+    (_response(b"<value><struct><member><name>a</name><value>1</value><name>b</name>"
+               b"</member></struct></value>"), MalformedXml),
+    (_response(b"<value><struct><member><name>a</name><name>b</name>"
+               b"</member></struct></value>"), MalformedXml),
+    (_response(b"<value><string><i4>1</i4></string></value>"), MalformedXml),
+    (_response(_nested_array(33)), DepthExceeded),
+], ids=["stdlib-system-state", "member-value-first", "whitespace-around-type", "untyped",
+        "depth-32", "text-before-type", "text-after-type", "two-types", "third-in-member",
+        "member-without-value", "element-in-string", "depth-33"])
+def test_parse_response_accepts_and_rejects(body, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            parse_response(body)
+    else:
+        assert parse_response(body) == MethodSuccess(expected)
 
 
 # --- round-trip property ----------------------------------------------------
