@@ -11,7 +11,6 @@ from typing import Optional
 from .config import ProxyConfig
 from .http11 import BindFailed, Dialer
 from .master_gateway import MasterGateway
-from .ports import PortAllocator
 from .registry import Registry
 from .slave_gateway import SlaveGatewayManager
 
@@ -27,32 +26,11 @@ class ProxyApp:
 
     def __init__(self, config: ProxyConfig, *, dial: Dialer = asyncio.open_connection):
         self.config = config
-        self.allocator = PortAllocator(config.port_range)
-
-        async def gateway_factory(record):
-            return await self.slave_gateways.start_gateway(record)
-
         self.registry = Registry(
-            self.allocator,
-            gateway_factory,
-            bind_host=config.bind_host,
-            grace_period=config.purge_grace,
-            ping_interval=config.ping_interval,
-            ping_failure_threshold=config.ping_failure_threshold,
-            rpc_timeout=config.request_timeout,
-            dial=dial,
+            config, lambda record: self.slave_gateways.start_gateway(record), dial=dial
         )
-        self.slave_gateways = SlaveGatewayManager(
-            self.registry,
-            config.advertised_host,
-            host_port_offset=config.host_port_offset,
-        )
-        self.master_gateway = MasterGateway(
-            self.registry,
-            self.slave_gateways,
-            config.upstream_master_uri,
-            main_port=config.main_port,
-        )
+        self.slave_gateways = SlaveGatewayManager(self.registry)
+        self.master_gateway = MasterGateway(self.registry, self.slave_gateways)
         self._ping_task: Optional[asyncio.Task] = None
         self._started = False
 
@@ -101,8 +79,9 @@ async def run(config: ProxyConfig) -> int:
     await stop_event.wait()
     log.info("shutting down")
     await app.stop()
-    if app.allocator.live_leases():  # pragma: no cover - invariant guard
-        log.error("leases leaked at shutdown: %r", app.allocator.live_leases())
+    leaked = app.registry.allocator.live_leases()
+    if leaked:  # pragma: no cover - invariant guard
+        log.error("leases leaked at shutdown: %r", leaked)
         return EXIT_FATAL
     return EXIT_OK
 

@@ -170,8 +170,9 @@ def _config_field(setting: Setting) -> tuple:
     return setting.field, type(value), field(default=value)
 
 
-# One field per setting, in table order, then bind_host: an internal knob
-# with no flag; the harness binds loopback aliases.
+# One field per setting, in table order, then bind_host: a knob with no
+# flag, "" (every interface) in deployment. Only tests set it, to bind
+# one loopback address.
 ProxyConfig = make_dataclass(
     "ProxyConfig",
     [_config_field(s) for s in SETTINGS] + [("bind_host", str, field(default=""))],

@@ -35,16 +35,6 @@ class MiniMasterState:
             "services": dict(self.services),
         }
 
-    def all_uris(self) -> Set[str]:
-        uris: Set[str] = set()
-        for table in (self.publishers, self.subscribers):
-            for pairs in table.values():
-                uris.update(api for _, api in pairs)
-        for caller_id, caller_api, service_api in self.services.values():
-            uris.add(caller_api)
-            uris.add(service_api)
-        return uris
-
     def uris_of(self, caller_id: str) -> Set[str]:
         uris: Set[str] = set()
         for table in (self.publishers, self.subscribers):

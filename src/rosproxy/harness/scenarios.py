@@ -170,14 +170,14 @@ class ProxyUnderTest:
 
     @property
     def allocator(self):
-        return self.app.allocator
+        return self.app.registry.allocator
 
     def port_assignments(self) -> str:
         """Range-relative lease layout, stable across replays."""
         low = self.port_range.low
         return ",".join(
             "%s:%d" % (lease.purpose, lease.port - low)
-            for lease in self.app.allocator.live_leases()
+            for lease in self.allocator.live_leases()
         )
 
     async def start(self) -> None:

@@ -110,30 +110,23 @@ def _check_signature(call: MethodCall, rule: RewriteRule) -> Optional[tuple]:
 class MasterGateway:
     """The main port: rewrites registrations, forwards the rest upstream.
 
-    It binds to, and forwards with the timeout and dialer of, the registry
-    (Registry.bind_host, rpc_timeout and dial), as the slave gateways do.
+    Like the slave gateways, it reads its settings from registry.config:
+    the upstream master, the main port, the bind host and the timeout of a
+    forwarded call. It dials with registry.dial.
     """
 
-    def __init__(
-        self,
-        registry: Registry,
-        slave_gateways: SlaveGatewayManager,
-        upstream_master_uri: str,
-        *,
-        main_port: int = 11311,
-    ):
+    def __init__(self, registry: Registry, slave_gateways: SlaveGatewayManager):
         self.registry = registry
         self.slave_gateways = slave_gateways
-        self.upstream_master_uri = upstream_master_uri
-        self.main_port = main_port
         self._server: Optional[asyncio.AbstractServer] = None
 
     # -- lifecycle ---------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await serve_xmlrpc(self.registry.bind_host, self.main_port, self._dispatch)
+        config = self.registry.config
+        self._server = await serve_xmlrpc(config.bind_host, config.main_port, self._dispatch)
         log.info("master gateway listening on %s:%d, upstream %s",
-                 self.registry.bind_host or "*", self.main_port, self.upstream_master_uri)
+                 config.bind_host or "*", config.main_port, config.upstream_master_uri)
 
     async def stop(self) -> None:
         if self._server is not None:
@@ -185,8 +178,9 @@ class MasterGateway:
                 log.debug("%s %s %r: refcount now %d", caller_id, call.method_name, name, remaining)
             call = MethodCall(call.method_name, params)
 
+        config = self.registry.config
         return await forward(
-            self.upstream_master_uri, call, timeout=self.registry.rpc_timeout,
+            config.upstream_master_uri, call, timeout=config.request_timeout,
             dial=self.registry.dial, target="upstream master",
         )
 

@@ -49,9 +49,6 @@ class PortRange:
     def size(self) -> int:
         return self.high - self.low + 1
 
-    def shifted(self, offset: int) -> "PortRange":
-        return PortRange(self.low + offset, self.high + offset)
-
 
 @dataclass(frozen=True)
 class PortLease:

@@ -23,6 +23,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
+from .config import ProxyConfig
 from .http11 import Dialer, close_server, forward
 from .ports import PortAllocator, PortLease, PURPOSE_SLAVE_API, PURPOSE_TCPROS
 from .relay import RelayHandle, close_relay, open_relay
@@ -79,30 +80,15 @@ def _shielded(change):
 class Registry:
     """The shared node map; all mutation goes through one lock.
 
-    It also owns what every listener and outbound connection of the proxy
-    shares: the bind host, the timeout of a forwarded call and the dialer.
-    The gateways read them from here.
+    It also owns what every part of the proxy shares: the config, the port
+    allocator over config.port_range and the dialer. The gateways read
+    them from here.
     """
 
-    def __init__(
-        self,
-        allocator: PortAllocator,
-        gateway_factory: GatewayFactory,
-        *,
-        bind_host: str = "",
-        grace_period: float = 30.0,
-        ping_interval: float = 10.0,
-        ping_failure_threshold: int = 3,
-        rpc_timeout: float = 5.0,
-        dial: Dialer = asyncio.open_connection,
-    ):
-        self.allocator = allocator
+    def __init__(self, config: ProxyConfig, gateway_factory: GatewayFactory, *, dial: Dialer):
+        self.config = config
+        self.allocator = PortAllocator(config.port_range)
         self.gateway_factory = gateway_factory
-        self.bind_host = bind_host
-        self.grace_period = grace_period
-        self.ping_interval = ping_interval
-        self.ping_failure_threshold = ping_failure_threshold
-        self.rpc_timeout = rpc_timeout
         self.dial = dial
         self.nodes: Dict[str, NodeRecord] = {}
         self._lock = asyncio.Lock()
@@ -182,7 +168,7 @@ class Registry:
             )
             try:
                 handle = await open_relay(
-                    lease, self.bind_host, target_host, target_port, dial=self.dial
+                    lease, self.config.bind_host, target_host, target_port, dial=self.dial
                 )
             except Exception:
                 self.allocator.release(lease)
@@ -245,9 +231,9 @@ class Registry:
             self._grace_tasks.add(task)
             task.add_done_callback(self._grace_tasks.discard)
 
-        record._grace_timer = loop.call_later(self.grace_period, fire)
+        record._grace_timer = loop.call_later(self.config.purge_grace, fire)
         log.debug("node %s refcount 0; purge in %.1fs unless it re-registers",
-                  record.caller_id, self.grace_period)
+                  record.caller_id, self.config.purge_grace)
 
     def _cancel_grace(self, record: NodeRecord) -> None:
         if record._grace_timer is not None:
@@ -263,7 +249,7 @@ class Registry:
         async def ping_one(record: NodeRecord):
             response = await forward(
                 record.real_slave_uri, MethodCall("getPid", [PING_CALLER_ID]),
-                timeout=self.rpc_timeout, dial=self.dial,
+                timeout=self.config.request_timeout, dial=self.dial,
                 target="node %s" % record.caller_id,
             )
             try:
@@ -281,8 +267,8 @@ class Registry:
             record.ping_failures += 1
             log.warning("ping of %s (%s) failed (%d/%d)",
                         record.caller_id, record.real_slave_uri,
-                        record.ping_failures, self.ping_failure_threshold)
-            if record.ping_failures >= self.ping_failure_threshold:
+                        record.ping_failures, self.config.ping_failure_threshold)
+            if record.ping_failures >= self.config.ping_failure_threshold:
                 try:
                     await self.purge_node(record.caller_id)
                 except UnknownNode:
@@ -295,9 +281,9 @@ class Registry:
         return [r for r in results if r is not None]
 
     async def run_ping_loop(self) -> None:
-        """Ping forever at ping_interval (cancel to stop)."""
+        """Ping forever at config.ping_interval (cancel to stop)."""
         while True:
-            await asyncio.sleep(self.ping_interval)
+            await asyncio.sleep(self.config.ping_interval)
             try:
                 await self.ping_cycle()
             except Exception:  # pragma: no cover - keep the loop alive

@@ -39,32 +39,23 @@ TCPROS = "TCPROS"
 class SlaveGatewayManager:
     """Starts per-node listeners and does the requestTopic rewrite.
 
-    Listeners bind to, and forwards use the timeout and dialer of, the
-    registry (Registry.bind_host, rpc_timeout and dial).
+    Its settings are the registry's: listeners bind to, and forwards use
+    the timeout of, registry.config, and forwards dial with registry.dial.
     """
 
-    def __init__(
-        self,
-        registry: Registry,
-        advertised_host: str,
-        *,
-        host_port_offset: int = 0,
-    ):
+    def __init__(self, registry: Registry):
         self.registry = registry
-        self.advertised_host = advertised_host
-        self.host_port_offset = host_port_offset
+
+    def _advertised(self, port: int) -> tuple:
+        """The (host, port) external peers reach a leased port under."""
+        config = self.registry.config
+        return config.advertised_host, port + config.host_port_offset
 
     def advertised_uri(self, record: NodeRecord) -> str:
-        return "http://%s:%d/" % (
-            self.advertised_host,
-            record.gateway_port + self.host_port_offset,
-        )
+        return "http://%s:%d/" % self._advertised(record.gateway_port)
 
     def advertised_rosrpc(self, relay_port: int) -> str:
-        return "rosrpc://%s:%d" % (
-            self.advertised_host,
-            relay_port + self.host_port_offset,
-        )
+        return "rosrpc://%s:%d" % self._advertised(relay_port)
 
     async def start_gateway(self, record: NodeRecord) -> asyncio.AbstractServer:
         """The registry's gateway factory: one XML-RPC listener per node."""
@@ -78,11 +69,13 @@ class SlaveGatewayManager:
                 return MethodFault(FAULT_APP, "node %s is gone" % caller_id)
             return await self.handle_slave_call(live, call)
 
-        return await serve_xmlrpc(self.registry.bind_host, record.gateway_lease.port, dispatch)
+        return await serve_xmlrpc(
+            self.registry.config.bind_host, record.gateway_lease.port, dispatch
+        )
 
     async def handle_slave_call(self, record: NodeRecord, call: MethodCall) -> MethodResponse:
         response = await forward(
-            record.real_slave_uri, call, timeout=self.registry.rpc_timeout,
+            record.real_slave_uri, call, timeout=self.registry.config.request_timeout,
             dial=self.registry.dial, target="node %s" % record.caller_id,
         )
         if call.method_name == "requestTopic" and isinstance(response, MethodSuccess):
@@ -99,7 +92,8 @@ class SlaveGatewayManager:
         if result.code != 1:
             return response
         # The (protocol, host, port) triple a TCPROS publisher answers with;
-        # any other shape or protocol passes through unrewritten.
+        # any other shape or protocol, or a port no socket can have, passes
+        # through unrewritten.
         params = result.value
         if (
             not isinstance(params, list)
@@ -108,6 +102,7 @@ class SlaveGatewayManager:
             or not isinstance(params[1], str)
             or isinstance(params[2], bool)
             or not isinstance(params[2], int)
+            or not 1 <= params[2] <= 65535
         ):
             return response
         _, host, port = params
@@ -119,12 +114,12 @@ class SlaveGatewayManager:
             log.error("cannot relay %s:%d for %s: %s",
                       host, port, record.caller_id, exc)
             return MethodFault(FAULT_APP, "cannot allocate relay: %s" % exc)
-        advertised_port = relay.port + self.host_port_offset
+        advertised_host, advertised_port = self._advertised(relay.port)
         log.debug("requestTopic for %s: %s:%d -> %s:%d",
-                  record.caller_id, host, port, self.advertised_host, advertised_port)
+                  record.caller_id, host, port, advertised_host, advertised_port)
         return MethodSuccess(
             RosResult(
                 result.code, result.status_message,
-                [TCPROS, self.advertised_host, advertised_port],
+                [TCPROS, advertised_host, advertised_port],
             ).to_value()
         )

@@ -31,7 +31,6 @@ first, and text with nothing to escape is emitted as it is.
 from __future__ import annotations
 
 import base64
-import binascii
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -288,7 +287,7 @@ def _decode_value(elem: ET.Element, depth: int) -> RpcValue:
         text = "".join(_text_of(child).split())
         try:
             return base64.b64decode(text, validate=True)
-        except binascii.Error as exc:
+        except ValueError as exc:  # binascii.Error, or text that is not ASCII
             raise MalformedXml("bad base64 payload") from exc
     if tag == "dateTime.iso8601":
         return RpcDateTime(_text_of(child))

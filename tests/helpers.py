@@ -1,5 +1,6 @@
 """Shared test utilities: strict value comparison, random value generation,
-free-port discovery, connect polling and finding the Pythons that start."""
+free-port discovery, proxy configs, connect polling and finding the
+Pythons that start."""
 
 import asyncio
 import glob
@@ -11,6 +12,8 @@ import string
 import subprocess
 import time
 
+from rosproxy.config import ProxyConfig
+from rosproxy.ports import PortRange
 from rosproxy.xmlrpc_codec import RpcDateTime
 
 
@@ -91,6 +94,24 @@ def free_range(size, host="127.0.0.1"):
             for s in socks:
                 s.close()
     raise RuntimeError("could not find a free port range of %d" % size)
+
+
+def make_config(upstream_master_uri="", *, range_size=8, bind_host="127.0.0.1", **settings):
+    """A ProxyConfig bound to and advertising 127.0.0.1 on a free block of
+    ports: the main port, then a lease range of range_size ports. Any
+    setting can be overridden. It is not validated, so a 1-port range
+    and an empty upstream URI stay possible."""
+    main_port, high = free_range(range_size + 1, host=bind_host)
+    values = dict(
+        upstream_master_uri=upstream_master_uri,
+        advertised_host="127.0.0.1",
+        main_port=main_port,
+        port_range=PortRange(main_port + 1, high),
+        request_timeout=2.0,
+        bind_host=bind_host,
+    )
+    values.update(settings)
+    return ProxyConfig(**values)
 
 
 async def poll_refused(host, port, timeout=5.0, interval=0.025):

@@ -19,12 +19,10 @@ import sys
 import time
 
 from rosproxy.app import ProxyApp
-from rosproxy.config import ProxyConfig
 from rosproxy.http11 import XmlRpcClient, serve_xmlrpc
-from rosproxy.ports import PortRange
 from rosproxy.xmlrpc_codec import MethodCall, MethodSuccess, encode_call
 
-from helpers import free_port, free_range
+from helpers import free_port, make_config
 
 STEP_LIMIT_S = 0.5  # each teardown step must finish within this
 STUCK_S = 3.0  # a step still running after this is reported as stuck
@@ -119,14 +117,8 @@ async def probe() -> dict:
     fds_before = open_fds()
     live_targets = set()
     servers, upstream_port, node_port = await start_stubs(live_targets)
-    low, high = free_range(7)  # the main port, then a 6-port lease range
-    config = ProxyConfig(
-        upstream_master_uri="http://%s:%d/" % (HOST, upstream_port),
-        advertised_host=HOST,
-        main_port=low,
-        port_range=PortRange(low + 1, high),
-        request_timeout=2.0,
-        bind_host=HOST,
+    config = make_config(
+        "http://%s:%d/" % (HOST, upstream_port), range_size=6, bind_host=HOST, advertised_host=HOST
     ).validate()
     app = ProxyApp(config)
     await app.start()
@@ -169,7 +161,7 @@ async def probe() -> dict:
     peers.append(await idle_keep_alive_peer(fresh.gateway_port))
     report["purge_s"] = await timed(app.registry.purge_node(CALLER_ID))
     report["stop_s"] = await timed(app.stop())
-    report["leases"] = [repr(lease) for lease in app.allocator.live_leases()]
+    report["leases"] = [repr(lease) for lease in app.registry.allocator.live_leases()]
     # the relay aborted the connections it dialed, so the target saw them end
     await settle(lambda: not live_targets)
     report["target_connections"] = len(live_targets)

@@ -16,6 +16,7 @@ import time
 import pytest
 
 import conftest
+from rosproxy.app import ProxyApp
 from rosproxy.harness.dial import DialLog
 from rosproxy.harness.master import MiniMaster
 from rosproxy.harness.nodes import Listener, ServiceNode, Talker
@@ -30,11 +31,9 @@ from rosproxy.harness.scenarios import (
     segment,
 )
 from rosproxy.http11 import XmlRpcClient, serve_xmlrpc, split_http_uri, split_rosrpc_uri
-from rosproxy.master_gateway import MasterGateway, REWRITE_RULES
+from rosproxy.master_gateway import REWRITE_RULES
 from rosproxy.ports import Exhausted, PortAllocator, PortRange
-from rosproxy.registry import Registry
 from rosproxy.relay import close_relay, open_relay
-from rosproxy.slave_gateway import SlaveGatewayManager
 from rosproxy.xmlrpc_codec import (
     CodecError,
     MethodCall,
@@ -46,7 +45,7 @@ from rosproxy.xmlrpc_codec import (
     parse_response,
 )
 
-from helpers import free_port, free_range, make_rng, random_rpc_value, same_value
+from helpers import free_port, free_range, make_config, make_rng, random_rpc_value, same_value
 
 
 def criterion(number, label):
@@ -158,20 +157,11 @@ async def test_criterion_3_rewrite_completeness():
     upstream_port = free_port()
     upstream = await serve_xmlrpc("127.0.0.1", upstream_port, upstream_dispatch)
 
-    main_port, high = free_range(9, host="")  # the main port, then the lease range
-    low = main_port + 1
-    allocator = PortAllocator(PortRange(low, high))
-    parts = {}
-
-    async def factory(record):
-        return await parts["manager"].start_gateway(record)
-
-    registry = Registry(allocator, factory, bind_host="", rpc_timeout=2.0)
-    manager = SlaveGatewayManager(registry, ADVERTISED_HOST)
-    parts["manager"] = manager
-    gateway = MasterGateway(
-        registry, manager, "http://127.0.0.1:%d/" % upstream_port, main_port=main_port,
-    )
+    config = make_config("http://127.0.0.1:%d/" % upstream_port, bind_host="",
+                         advertised_host=ADVERTISED_HOST)
+    low, high = config.port_range.low, config.port_range.high
+    app = ProxyApp(config)
+    registry, gateway = app.registry, app.master_gateway
 
     # a real internal slave so requestTopic has something to answer it
     data_port = free_port(INTERNAL_NODE_HOST)
@@ -244,7 +234,7 @@ async def test_criterion_3_rewrite_completeness():
         slave.close()
         await slave.wait_closed()
         await registry.purge_all()
-    assert allocator.live_leases() == []
+    assert registry.allocator.live_leases() == []
 
 
 # -- 4: relay transparency ----------------------------------------------
@@ -397,19 +387,9 @@ async def test_criterion_6_resource_conservation():
     master = MiniMaster("127.0.0.1", free_port())
     await master.start()
 
-    main_port, high = free_range(57)  # the main port, then the lease range
-    low = main_port + 1
-    allocator = PortAllocator(PortRange(low, high))
-    parts = {}
-
-    async def factory(record):
-        return await parts["manager"].start_gateway(record)
-
-    registry = Registry(allocator, factory, bind_host="127.0.0.1",
-                        grace_period=300.0, rpc_timeout=2.0)
-    manager = SlaveGatewayManager(registry, ADVERTISED_HOST)
-    parts["manager"] = manager
-    gateway = MasterGateway(registry, manager, master.uri, main_port=main_port)
+    app = ProxyApp(make_config(master.uri, range_size=56, advertised_host=ADVERTISED_HOST,
+                               purge_grace=300.0))
+    registry, gateway, allocator = app.registry, app.master_gateway, app.registry.allocator
 
     rng = make_rng(606)
     node_count = 12
@@ -499,18 +479,12 @@ async def test_criterion_6_resource_conservation():
 
 @criterion(7, "port-determinism")
 async def test_criterion_7_port_determinism_and_exhaustion():
-    low, high = free_range(8)
+    # one deployment, replayed by two fresh proxies
+    config = make_config(advertised_host=ADVERTISED_HOST, purge_grace=300.0)
 
     async def scripted_run():
-        allocator = PortAllocator(PortRange(low, high))
-        parts = {}
-
-        async def factory(record):
-            return await parts["manager"].start_gateway(record)
-
-        registry = Registry(allocator, factory, bind_host="127.0.0.1",
-                            grace_period=300.0, rpc_timeout=2.0)
-        parts["manager"] = SlaveGatewayManager(registry, ADVERTISED_HOST)
+        registry = ProxyApp(config).registry
+        allocator = registry.allocator
         a = await registry.ensure_node("/a", "http://127.0.9.1:6001/")
         b = await registry.ensure_node("/b", "http://127.0.9.1:6002/")
         b_port = b.gateway_port
@@ -534,24 +508,17 @@ async def test_criterion_7_port_determinism_and_exhaustion():
     assert len(first_journal) == 6  # 4 gateways + 2 relays; dedup adds nothing
 
     # exhaustion: two ports cannot carry three nodes, and the error says so
-    xlow, xhigh = free_range(2)
-    allocator = PortAllocator(PortRange(xlow, xhigh))
-    parts = {}
-
-    async def factory(record):
-        return await parts["manager"].start_gateway(record)
-
-    registry = Registry(allocator, factory, bind_host="127.0.0.1", rpc_timeout=2.0)
-    parts["manager"] = SlaveGatewayManager(registry, ADVERTISED_HOST)
+    config = make_config(range_size=2, advertised_host=ADVERTISED_HOST)
+    registry = ProxyApp(config).registry
     try:
         await registry.ensure_node("/one", "http://127.0.9.1:6001/")
         await registry.ensure_node("/two", "http://127.0.9.1:6002/")
         with pytest.raises(Exhausted) as caught:
             await registry.ensure_node("/three", "http://127.0.9.1:6003/")
-        assert "%d-%d" % (xlow, xhigh) in str(caught.value)
+        assert str(config.port_range) in str(caught.value)
     finally:
         await registry.purge_all()
-    assert allocator.live_leases() == []
+    assert registry.allocator.live_leases() == []
 
 
 # -- 8: codec round-trip volume ------------------------------------------

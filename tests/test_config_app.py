@@ -1,5 +1,6 @@
 """Configuration parsing/validation and whole-app lifecycle tests."""
 
+import ast
 import asyncio
 import dataclasses
 import os
@@ -16,7 +17,7 @@ from rosproxy.ports import PortRange
 from rosproxy.registry import KIND_PUB
 from rosproxy.xmlrpc_codec import MethodSuccess
 
-from helpers import free_port, free_range, poll_until
+from helpers import free_port, make_config, poll_until
 
 
 def test_env_parsing_and_defaults():
@@ -105,16 +106,40 @@ def test_readme_settings_table_matches_config():
     ]
 
 
-def make_app_config(upstream_uri, range_size=6):
-    low, high = free_range(range_size + 1)  # the main port, then the lease range
-    return ProxyConfig(
-        upstream_master_uri=upstream_uri,
-        advertised_host="127.0.0.1",
-        main_port=low,
-        port_range=PortRange(low + 1, high),
-        request_timeout=2.0,
-        bind_host="127.0.0.1",
-    ).validate()
+# The parts ProxyApp builds; each reads its settings from ProxyConfig.
+CONFIGURED_PARTS = {"Registry", "SlaveGatewayManager", "MasterGateway"}
+
+
+def _defaulted(args: ast.arguments) -> list:
+    positional = args.posonlyargs + args.args
+    return positional[len(positional) - len(args.defaults):] + [
+        arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+    ]
+
+
+def test_no_second_copy_of_a_setting():
+    """Outside config.py no parameter named after a ProxyConfig field (or
+    an old alias of one) has a default, and the parts take none at all."""
+    names = {f.name for f in dataclasses.fields(ProxyConfig)} | {"grace_period", "rpc_timeout"}
+    src = Path(__file__).resolve().parent.parent / "src" / "rosproxy"
+    copies, parts = [], set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                copies += ["%s:%d default for %s" % (path.name, arg.lineno, arg.arg)
+                           for arg in _defaulted(node.args) if arg.arg in names]
+            if isinstance(node, ast.ClassDef) and node.name in CONFIGURED_PARTS:
+                parts.add(node.name)
+                for init in node.body:
+                    if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                        args = init.args
+                        copies += ["%s:%d %s takes %s" % (path.name, arg.lineno, node.name, arg.arg)
+                                   for arg in args.posonlyargs + args.args + args.kwonlyargs
+                                   if arg.arg in names]
+    assert parts == CONFIGURED_PARTS
+    assert copies == []
 
 
 async def start_upstream():
@@ -128,7 +153,7 @@ async def start_upstream():
 
 async def test_app_start_serve_stop_releases_everything():
     upstream, uri = await start_upstream()
-    cfg = make_app_config(uri)
+    cfg = make_config(uri).validate()
     app = ProxyApp(cfg)
     await app.start()
     try:
@@ -138,12 +163,12 @@ async def test_app_start_serve_stop_releases_everything():
             ["/talker", "/chat", "std_msgs/String", "http://127.0.0.1:1/"],
         )
         assert result.code == 1
-        assert len(app.allocator.live_leases()) == 1
+        assert len(app.registry.allocator.live_leases()) == 1
     finally:
         await app.stop()
         upstream.close()
         await upstream.wait_closed()
-    assert app.allocator.live_leases() == []
+    assert app.registry.allocator.live_leases() == []
     # every port is bindable again after shutdown (SO_REUSEADDR, as any
     # restarted asyncio server would have: only TIME_WAIT remnants remain)
     for port in [cfg.main_port] + list(range(cfg.port_range.low, cfg.port_range.high + 1)):
@@ -156,7 +181,7 @@ async def test_stop_during_grace_purge_leaves_no_task_or_lease():
     """A grace purge that fires while stop() waits for the registry lock
     is finished by stop(), not left pending behind it."""
     upstream, uri = await start_upstream()
-    app = ProxyApp(dataclasses.replace(make_app_config(uri), purge_grace=0.01))
+    app = ProxyApp(make_config(uri, purge_grace=0.01).validate())
     await app.start()
     registry = app.registry
     record = await registry.ensure_node("/talker", "http://127.0.0.1:1/")
@@ -181,14 +206,14 @@ async def test_stop_during_grace_purge_leaves_no_task_or_lease():
         await upstream.wait_closed()
     assert holder.done()
     assert [t for t in asyncio.all_tasks() if t is not asyncio.current_task()] == []
-    assert app.allocator.live_leases() == []
+    assert app.registry.allocator.live_leases() == []
 
 
 async def test_stop_during_registration_leaves_no_lease():
     """stop() cancels the main port's in-flight calls; a registration
     that was provisioning its gateway still completes, and is purged."""
     upstream, uri = await start_upstream()
-    app = ProxyApp(make_app_config(uri))
+    app = ProxyApp(make_config(uri).validate())
     start_gateway = app.registry.gateway_factory
 
     async def slow_gateway(record):
@@ -201,7 +226,7 @@ async def test_stop_during_registration_leaves_no_lease():
     call = asyncio.ensure_future(client.call_ros(
         "registerPublisher", ["/talker", "/chat", "std_msgs/String", "http://127.0.0.1:1/"]
     ))
-    await poll_until(lambda: app.allocator.live_leases())
+    await poll_until(lambda: app.registry.allocator.live_leases())
     try:
         await app.stop()
     finally:
@@ -209,7 +234,7 @@ async def test_stop_during_registration_leaves_no_lease():
         await upstream.wait_closed()
     with pytest.raises(RpcTransportError):
         await call
-    assert app.allocator.live_leases() == []
+    assert app.registry.allocator.live_leases() == []
     assert app.registry.nodes == {}
     assert [t for t in asyncio.all_tasks() if t is not asyncio.current_task()] == []
 
@@ -240,7 +265,7 @@ async def test_one_dialer_reaches_every_outbound_connection():
         dials.append(port)
         return await asyncio.open_connection(host, port)
 
-    app = ProxyApp(make_app_config(uri), dial=recording_dial)
+    app = ProxyApp(make_config(uri).validate(), dial=recording_dial)
     await app.start()
     try:
         master = XmlRpcClient("http://127.0.0.1:%d/" % app.config.main_port, timeout=2.0)
@@ -272,7 +297,7 @@ async def test_one_dialer_reaches_every_outbound_connection():
 
 async def test_app_occupied_main_port_is_fatal_exit():
     upstream, uri = await start_upstream()
-    cfg = make_app_config(uri)
+    cfg = make_config(uri).validate()
     squatter = await asyncio.start_server(
         lambda r, w: w.close(), "127.0.0.1", cfg.main_port
     )
@@ -288,7 +313,7 @@ async def test_app_occupied_main_port_is_fatal_exit():
 
 async def test_run_exits_cleanly_on_sigterm():
     upstream, uri = await start_upstream()
-    cfg = make_app_config(uri)
+    cfg = make_config(uri).validate()
     task = asyncio.ensure_future(run(cfg))
     await asyncio.sleep(0.2)  # let it bind and install handlers
     os.kill(os.getpid(), signal.SIGTERM)

@@ -39,8 +39,7 @@ async def start_broken_peer(failure):
 @pytest.mark.parametrize("failure", FAILURES)
 async def test_transport_failure_takes_the_one_forward_path(failure, path):
     server, uri = await start_broken_peer(failure)
-    gateway, registry, manager, allocator = build_gateway(uri)
-    registry.rpc_timeout = RPC_TIMEOUT
+    gateway, registry, manager, allocator = build_gateway(uri, request_timeout=RPC_TIMEOUT)
     try:
         if path == "master":
             response = await gateway.handle_master_call(

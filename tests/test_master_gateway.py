@@ -5,16 +5,9 @@ import asyncio
 
 import pytest
 
+from rosproxy.app import ProxyApp
 from rosproxy.http11 import XmlRpcClient, serve_xmlrpc
-from rosproxy.master_gateway import (
-    BadSignature,
-    MasterGateway,
-    REWRITE_RULES,
-    _check_signature,
-)
-from rosproxy.ports import PortAllocator, PortRange
-from rosproxy.registry import Registry
-from rosproxy.slave_gateway import SlaveGatewayManager
+from rosproxy.master_gateway import BadSignature, REWRITE_RULES, _check_signature
 from rosproxy.xmlrpc_codec import (
     FAULT_APP,
     FAULT_BAD_PARAMS,
@@ -24,7 +17,7 @@ from rosproxy.xmlrpc_codec import (
     MethodSuccess,
 )
 
-from helpers import free_port, free_range, make_rng, poll_refused, random_rpc_value
+from helpers import free_port, make_config, make_rng, poll_refused, random_rpc_value
 
 ADV = "127.0.0.1"  # advertised host for these tests
 
@@ -66,19 +59,9 @@ async def start_upstream_stub():
     return server, "http://127.0.0.1:%d/" % port, calls
 
 
-def build_gateway(upstream_uri, range_size=8, offset=0):
-    main_port, high = free_range(range_size + 1)  # the main port, then the lease range
-    allocator = PortAllocator(PortRange(main_port + 1, high))
-    parts = {}
-
-    async def factory(record):
-        return await parts["manager"].start_gateway(record)
-
-    registry = Registry(allocator, factory, bind_host="127.0.0.1", rpc_timeout=2.0)
-    manager = SlaveGatewayManager(registry, ADV, host_port_offset=offset)
-    parts["manager"] = manager
-    gateway = MasterGateway(registry, manager, upstream_uri, main_port=main_port)
-    return gateway, registry, manager, allocator
+def build_gateway(upstream_uri, **settings):
+    app = ProxyApp(make_config(upstream_uri, advertised_host=ADV, **settings))
+    return app.master_gateway, app.registry, app.slave_gateways, app.registry.allocator
 
 
 async def test_register_publisher_rewrites_caller_api():
@@ -129,8 +112,8 @@ async def test_register_subscriber_response_passes_back_unmodified():
 
 async def test_unregister_uses_three_param_signature_and_drops_refcount():
     upstream, uri, calls = await start_upstream_stub()
-    gateway, registry, _, _ = build_gateway(uri)
-    registry.grace_period = 60.0  # keep the timer from firing mid-test
+    # a long grace keeps the purge timer from firing mid-test
+    gateway, registry, _, _ = build_gateway(uri, purge_grace=60.0)
     try:
         await gateway.handle_master_call(
             MethodCall(
@@ -370,7 +353,7 @@ async def test_reregistration_is_idempotent_incl_advertised_uri_echo():
 async def test_http_ingress_and_node_alias_routing():
     upstream, uri, _ = await start_upstream_stub()
     gateway, registry, manager, _ = build_gateway(uri)
-    main_port = gateway.main_port
+    main_port = registry.config.main_port
 
     async def node_dispatch(path, call, peer):
         return MethodSuccess([1, "pid", 31337])

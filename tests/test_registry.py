@@ -6,7 +6,7 @@ import asyncio
 import pytest
 
 from rosproxy.http11 import BindFailed, serve_xmlrpc
-from rosproxy.ports import Exhausted, PortAllocator, PortRange
+from rosproxy.ports import Exhausted
 from rosproxy.registry import (
     KIND_PUB,
     KIND_SERVICE,
@@ -17,7 +17,7 @@ from rosproxy.registry import (
 )
 from rosproxy.xmlrpc_codec import MethodFault, MethodSuccess
 
-from helpers import free_port, free_range, make_rng, poll_refused, poll_until
+from helpers import free_port, make_config, make_rng, poll_refused, poll_until
 
 
 async def stub_gateway(record: NodeRecord):
@@ -27,11 +27,9 @@ async def stub_gateway(record: NodeRecord):
     return await asyncio.start_server(on_conn, "127.0.0.1", record.gateway_lease.port)
 
 
-def make_registry(range_size=8, **kwargs):
-    low, high = free_range(range_size)
-    allocator = PortAllocator(PortRange(low, high))
-    kwargs.setdefault("bind_host", "127.0.0.1")
-    return Registry(allocator, stub_gateway, **kwargs), allocator
+def make_registry(gateway_factory=stub_gateway, **settings):
+    registry = Registry(make_config(**settings), gateway_factory, dial=asyncio.open_connection)
+    return registry, registry.allocator
 
 
 async def test_ensure_node_is_idempotent_for_same_uri():
@@ -79,8 +77,7 @@ async def test_gateway_start_failure_releases_lease():
     async def broken_factory(record):
         raise BindFailed("synthetic")
 
-    allocator = PortAllocator(PortRange(40000, 40003))
-    registry = Registry(allocator, broken_factory, bind_host="127.0.0.1")
+    registry, allocator = make_registry(broken_factory, range_size=4)
     with pytest.raises(BindFailed):
         await registry.ensure_node("/x", "http://127.0.0.1:1/")
     assert allocator.live_leases() == []
@@ -104,7 +101,7 @@ async def test_refcounts_use_set_semantics():
 
 
 async def test_zero_refcount_purges_after_grace():
-    registry, allocator = make_registry(grace_period=0.15)
+    registry, allocator = make_registry(purge_grace=0.15)
     record = await registry.ensure_node("/n", "http://127.0.0.1:1/")
     port = record.gateway_port
     registry.add_registration("/n", KIND_PUB, "/chat")
@@ -116,7 +113,7 @@ async def test_zero_refcount_purges_after_grace():
 
 
 async def test_reregistration_within_grace_cancels_purge():
-    registry, allocator = make_registry(grace_period=0.15)
+    registry, allocator = make_registry(purge_grace=0.15)
     await registry.ensure_node("/n", "http://127.0.0.1:1/")
     registry.add_registration("/n", KIND_SUB, "/chat")
     registry.remove_registration("/n", KIND_SUB, "/chat")
@@ -187,7 +184,7 @@ async def start_slave_stub(behaviour="ok"):
 
 
 async def test_ping_ok_resets_failures():
-    registry, _ = make_registry(rpc_timeout=2.0)
+    registry, _ = make_registry()
     server, uri = await start_slave_stub("ok")
     try:
         record = await registry.ensure_node("/n", uri)
@@ -202,7 +199,7 @@ async def test_ping_ok_resets_failures():
 
 
 async def test_ping_fault_counts_as_failure():
-    registry, _ = make_registry(rpc_timeout=2.0)
+    registry, _ = make_registry()
     server, uri = await start_slave_stub("fault")
     try:
         record = await registry.ensure_node("/n", uri)
@@ -216,7 +213,7 @@ async def test_ping_fault_counts_as_failure():
 
 
 async def test_ping_bad_result_code_counts_as_failure():
-    registry, _ = make_registry(rpc_timeout=2.0)
+    registry, _ = make_registry()
     server, uri = await start_slave_stub("bad-code")
     try:
         await registry.ensure_node("/n", uri)
@@ -230,7 +227,7 @@ async def test_ping_bad_result_code_counts_as_failure():
 
 async def test_dead_node_purged_at_threshold():
     registry, allocator = make_registry(
-        rpc_timeout=1.0, ping_interval=0.5, ping_failure_threshold=3
+        request_timeout=1.0, ping_interval=0.5, ping_failure_threshold=3
     )
     server, uri = await start_slave_stub("ok")
     record = await registry.ensure_node("/n", uri)
@@ -252,7 +249,7 @@ async def test_ping_loop_purges_dead_node_within_budget():
     # interval 0.2s, threshold 3: a freshly killed node should be gone
     # within roughly 3 intervals (+ slack)
     registry, allocator = make_registry(
-        rpc_timeout=1.0, ping_interval=0.2, ping_failure_threshold=3
+        request_timeout=1.0, ping_interval=0.2, ping_failure_threshold=3
     )
     server, uri = await start_slave_stub("ok")
     await registry.ensure_node("/n", uri)
@@ -278,7 +275,7 @@ async def test_ping_loop_purges_dead_node_within_budget():
 
 async def test_randomized_walk_conserves_resources():
     for seed in (11, 23, 47):
-        registry, allocator = make_registry(range_size=16, grace_period=60.0)
+        registry, allocator = make_registry(range_size=16, purge_grace=60.0)
         rng = make_rng(seed)
         ids = ["/n%d" % i for i in range(4)]
         topics = ["/t%d" % i for i in range(5)]

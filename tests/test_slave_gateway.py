@@ -3,10 +3,10 @@ relay reuse, and the advertised-URI construction."""
 
 import asyncio
 
+from rosproxy.app import ProxyApp
 from rosproxy.http11 import XmlRpcClient, serve_xmlrpc
-from rosproxy.ports import PortAllocator, PortLease, PortRange, PURPOSE_SLAVE_API
-from rosproxy.registry import NodeRecord, Registry
-from rosproxy.slave_gateway import SlaveGatewayManager
+from rosproxy.ports import PortLease, PURPOSE_SLAVE_API
+from rosproxy.registry import NodeRecord
 from rosproxy.xmlrpc_codec import (
     FAULT_TRANSPORT,
     MethodCall,
@@ -15,21 +15,12 @@ from rosproxy.xmlrpc_codec import (
     RosResult,
 )
 
-from helpers import free_port, free_range, make_rng, random_rpc_value
+from helpers import free_port, make_config, make_rng, random_rpc_value
 
 
-def build_parts(advertised_host="127.0.0.1", offset=0, range_size=8, rpc_timeout=2.0):
-    low, high = free_range(range_size)
-    allocator = PortAllocator(PortRange(low, high))
-    parts = {}
-
-    async def factory(record):
-        return await parts["manager"].start_gateway(record)
-
-    registry = Registry(allocator, factory, bind_host="127.0.0.1", rpc_timeout=rpc_timeout)
-    manager = SlaveGatewayManager(registry, advertised_host, host_port_offset=offset)
-    parts["manager"] = manager
-    return registry, manager, allocator
+def build_parts(**settings):
+    app = ProxyApp(make_config(**settings))
+    return app.registry, app.slave_gateways, app.registry.allocator
 
 
 async def start_node_stub(tcpros_port, pid=4242):
@@ -82,7 +73,7 @@ async def test_gateway_forwards_getpid():
 
 async def test_request_topic_rewritten_and_relay_carries_bytes():
     sock, tcpros_port = await start_greeting_socket(b"through-the-relay")
-    registry, manager, allocator = build_parts(advertised_host="127.0.0.1")
+    registry, manager, allocator = build_parts()
     node, uri = await start_node_stub(tcpros_port)
     try:
         record = await registry.ensure_node("/talker", uri)
@@ -186,8 +177,8 @@ async def test_unreachable_node_yields_transport_fault():
 
 
 async def test_protocol_params_shapes():
-    """Only a (TCPROS, str host, int port) triple is rewritten; every
-    other shape comes back as the node sent it, with no relay leased."""
+    """Only a (TCPROS, str host, int port in 1-65535) triple is rewritten;
+    every other shape comes back as the node sent it, with no relay leased."""
     foreign = (
         ["TCPROS", "h"],
         ["TCPROS", "h", "1"],
@@ -195,6 +186,8 @@ async def test_protocol_params_shapes():
         [1, "h", 2],
         "TCPROS",
         ["TCPROS", 7, 1],
+        ["TCPROS", "h", 70000],
+        ["TCPROS", "h", -1],
     )
     shapes = {"/good": ["TCPROS", "127.0.0.1", 55003]}
     shapes.update(("/foreign%d" % n, shape) for n, shape in enumerate(foreign))
@@ -234,13 +227,13 @@ def test_advertised_uri_and_offset():
     assert manager.advertised_uri(record) == "http://hostA:30000/"
     assert manager.advertised_rosrpc(30002) == "rosrpc://hostA:30002"
 
-    _, shifted, _ = build_parts(advertised_host="192.0.2.10", offset=1000)
+    _, shifted, _ = build_parts(advertised_host="192.0.2.10", host_port_offset=1000)
     assert shifted.advertised_uri(record) == "http://192.0.2.10:31000/"
     assert shifted.advertised_rosrpc(30002) == "rosrpc://192.0.2.10:31002"
 
 
 async def test_offset_shifts_advertised_ports():
-    registry, manager, _ = build_parts(advertised_host="192.0.2.10", offset=500)
+    registry, manager, _ = build_parts(advertised_host="192.0.2.10", host_port_offset=500)
     node, uri = await start_node_stub(tcpros_port=55002)
     try:
         record = await registry.ensure_node("/talker", uri)

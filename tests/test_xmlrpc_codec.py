@@ -314,10 +314,11 @@ def _nested_array(depth):
     (_response(b"<value><struct><member><name>a</name><name>b</name>"
                b"</member></struct></value>"), MalformedXml),
     (_response(b"<value><string><i4>1</i4></string></value>"), MalformedXml),
+    (_response(b"<value><base64>\xc3\xa9</base64></value>"), MalformedXml),
     (_response(_nested_array(33)), DepthExceeded),
 ], ids=["stdlib-system-state", "member-value-first", "whitespace-around-type", "untyped",
         "depth-32", "text-before-type", "text-after-type", "two-types", "third-in-member",
-        "member-without-value", "element-in-string", "depth-33"])
+        "member-without-value", "element-in-string", "non-ascii-base64", "depth-33"])
 def test_parse_response_accepts_and_rejects(body, expected):
     if isinstance(expected, type):
         with pytest.raises(expected):
