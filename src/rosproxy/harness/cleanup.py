@@ -11,8 +11,9 @@ from __future__ import annotations
 import logging
 from typing import List, Optional
 
-from ..http11 import RpcTransportError, XmlRpcClient, XmlRpcFaultError
+from ..http11 import RpcTransportError
 from .dial import DialLog, PURPOSE_XMLRPC, make_dialer
+from .rpc import RosClient, XmlRpcFaultError
 
 log = logging.getLogger(__name__)
 
@@ -27,7 +28,7 @@ async def cleanup_stale_registrations(
 ) -> List[str]:
     """Remove registrations of unreachable nodes; returns their names."""
     dial = make_dialer(dial_log, "cleanup", PURPOSE_XMLRPC)
-    master = XmlRpcClient(master_uri, timeout=5.0, dial=dial)
+    master = RosClient(master_uri, timeout=5.0, dial=dial)
 
     state = await master.call_ros("getSystemState", [PROBE_CALLER_ID])
     publishers, subscribers, services = state.value
@@ -66,7 +67,7 @@ async def cleanup_stale_registrations(
 
 
 async def _alive(node_api: str, dial) -> bool:
-    client = XmlRpcClient(node_api, timeout=PROBE_TIMEOUT, dial=dial)
+    client = RosClient(node_api, timeout=PROBE_TIMEOUT, dial=dial)
     try:
         result = await client.call_ros("getPid", [PROBE_CALLER_ID])
         return result.code == 1

@@ -20,7 +20,6 @@ from typing import List, Optional, Set, Tuple
 
 from ..http11 import (
     RpcTransportError,
-    XmlRpcClient,
     close_server,
     hang_up,
     listen,
@@ -29,6 +28,7 @@ from ..http11 import (
 )
 from ..xmlrpc_codec import MethodSuccess
 from .dial import DialLog, PURPOSE_TCPROS, PURPOSE_XMLRPC, make_dialer
+from .rpc import RosClient
 from .wire import read_frame, read_header, write_frame, write_header
 
 log = logging.getLogger(__name__)
@@ -90,8 +90,8 @@ class _NodeBase:
         self.data_port = 0
         self._tasks: Set[asyncio.Task] = set()
 
-    def master_client(self) -> XmlRpcClient:
-        return XmlRpcClient(self.master_uri, timeout=RPC_TIMEOUT, dial=self.rpc_dial)
+    def master_client(self) -> RosClient:
+        return RosClient(self.master_uri, timeout=RPC_TIMEOUT, dial=self.rpc_dial)
 
     async def _serve(self, serve_data) -> None:
         """Serve the slave API, and data connections with serve_data
@@ -241,7 +241,7 @@ class Listener(_NodeBase):
 
     async def _consume(self, publisher_api: str) -> None:
         try:
-            client = XmlRpcClient(publisher_api, timeout=RPC_TIMEOUT, dial=self.rpc_dial)
+            client = RosClient(publisher_api, timeout=RPC_TIMEOUT, dial=self.rpc_dial)
             answer = await client.call_ros(
                 "requestTopic", [self.name, self.topic, [["TCPROS"]]]
             )
@@ -335,7 +335,7 @@ async def call_service(
 ) -> bytes:
     """Look the service up at the master, connect, exchange one frame."""
     actor = caller_name.strip("/")
-    master = XmlRpcClient(
+    master = RosClient(
         master_uri, timeout=RPC_TIMEOUT, dial=make_dialer(dial_log, actor, PURPOSE_XMLRPC)
     )
     found = await master.call_ros("lookupService", [caller_name, service])

@@ -2,9 +2,12 @@
 
 Servers accept POST bodies only (any request path; routing is the
 caller's concern) and keep connections alive per HTTP/1.1 defaults.
-Clients open one connection per call. Servers require Content-Length;
-clients read a response without one to EOF. Neither side takes a body
-over MAX_MESSAGE_BYTES.
+A client call dials its own connection and closes it afterwards, unless
+it is given a ConnectionPool: then it reuses an idle kept-alive
+connection to the same host and port, and hands its own back after a
+complete HTTP/1.1 answer that lets it stay open. Servers require
+Content-Length; clients read a response without one to EOF. Neither
+side takes a body over MAX_MESSAGE_BYTES.
 Chunked transfer is out of scope for ROS peers.
 
 Every listener is built by listen and closed by close_server: closing a
@@ -27,7 +30,6 @@ from .xmlrpc_codec import (
     MethodCall,
     MethodFault,
     MethodResponse,
-    RosResult,
     encode_call,
     encode_response,
     parse_call,
@@ -38,6 +40,8 @@ log = logging.getLogger(__name__)
 
 MAX_HEADER_BYTES = 16 * 1024
 MAX_HEADER_COUNT = 100
+IDLE_PER_TARGET = 4  # idle kept-alive client connections kept per (host, port)
+IDLE_TOTAL = 64  # ... and over all targets
 
 # async (host, port) -> (reader, writer); override point for dial recording
 Dialer = Callable[[str, int], Awaitable[tuple]]
@@ -96,13 +100,6 @@ async def hang_up(*writers) -> None:
 
 class RpcTransportError(Exception):
     """The HTTP round trip itself failed (connect, timeout, bad status)."""
-
-
-class XmlRpcFaultError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__("fault %d: %s" % (code, message))
-        self.code = code
-        self.message = message
 
 
 def split_http_uri(uri: str) -> tuple:
@@ -257,6 +254,61 @@ async def _read_body(reader, length_text: Optional[str], limit: int) -> bytes:
             raise RpcTransportError("response body over %d bytes" % limit)
 
 
+def _reusable(reader, writer) -> bool:
+    """Whether a client connection is open and holds no unread bytes
+    (StreamReader has no public way to ask for the bytes it holds)."""
+    return not reader._buffer and not reader.at_eof() and not writer.transport.is_closing()
+
+
+class ConnectionPool:
+    """Idle kept-alive client connections, newest last per (host, port).
+
+    Every connection it opens comes from dial. Past IDLE_PER_TARGET idle
+    connections to one target, or IDLE_TOTAL in all, the longest idle one
+    of the least recently used target is aborted.
+    """
+
+    def __init__(self, dial: Dialer):
+        self.dial = dial
+        self._idle = {}  # (host, port) -> [(reader, writer)], least recently used first
+
+    def idle_count(self) -> int:
+        return sum(map(len, self._idle.values()))
+
+    async def connect(self, host: str, port: int) -> tuple:
+        """An idle connection to host:port that is still reusable, else a new one."""
+        stack = self._idle.get((host, port), [])
+        while stack:
+            reader, writer = stack.pop()
+            if not stack:
+                del self._idle[host, port]
+            if _reusable(reader, writer):
+                return reader, writer
+            writer.transport.abort()
+        return await self.dial(host, port)
+
+    def put(self, host: str, port: int, reader, writer) -> None:
+        stack = self._idle.pop((host, port), [])
+        stack.append((reader, writer))
+        self._idle[host, port] = stack
+        if len(stack) > IDLE_PER_TARGET:
+            self._evict((host, port))
+        if self.idle_count() > IDLE_TOTAL:
+            self._evict(next(iter(self._idle)))
+
+    def _evict(self, target: tuple) -> None:
+        stack = self._idle[target]
+        _, writer = stack.pop(0)  # a writer freed before its transport closes warns
+        writer.transport.abort()
+        if not stack:
+            del self._idle[target]
+
+    async def close(self, host: Optional[str] = None, port: Optional[int] = None) -> None:
+        """Close the idle connections to host:port, or all of them."""
+        targets = [(host, port)] if host is not None else list(self._idle)
+        await hang_up(*(writer for target in targets for _, writer in self._idle.pop(target, ())))
+
+
 async def http_post(
     host: str,
     port: int,
@@ -265,22 +317,26 @@ async def http_post(
     *,
     timeout: float = 5.0,
     dial: Dialer = asyncio.open_connection,
+    pool: Optional[ConnectionPool] = None,
 ) -> bytes:
     """POST body to host:port, return the response body.
 
-    Raises RpcTransportError on connect/timeout/non-200 failures.
+    With a pool, the connection comes from it, and goes back to it only
+    after a complete HTTP/1.1 answer with a Content-Length, no
+    Connection: close and no bytes after it; every other connection is
+    closed. Raises RpcTransportError on connect/timeout/non-200 failures.
     """
 
     async def roundtrip():
-        reader, writer = await dial(host, port)
+        reader, writer = await (pool.connect(host, port) if pool else dial(host, port))
+        reusable = False
         try:
             head = (
                 "POST %s HTTP/1.1\r\n"
                 "Host: %s:%d\r\n"
                 "Content-Type: text/xml\r\n"
                 "Content-Length: %d\r\n"
-                "Connection: close\r\n"
-                "\r\n" % (path or "/", host, port, len(body))
+                "%s\r\n" % (path or "/", host, port, len(body), "" if pool else "Connection: close\r\n")
             )
             writer.write(head.encode("latin-1") + body)
             await writer.drain()
@@ -290,17 +346,26 @@ async def http_post(
                 raise RpcTransportError("bad HTTP status line %r" % status_line)
             status = int(parts[1])
             headers = await _read_headers(reader)
-            payload = await _read_body(
-                reader, headers.get("content-length"), MAX_MESSAGE_BYTES
-            )
+            length_text = headers.get("content-length")
+            payload = await _read_body(reader, length_text, MAX_MESSAGE_BYTES)
             if status != 200:
                 raise RpcTransportError("HTTP status %d" % status)
+            reusable = (
+                pool is not None
+                and parts[0] == "HTTP/1.1"
+                and length_text is not None
+                and headers.get("connection", "").lower() != "close"
+                and _reusable(reader, writer)
+            )
             return payload
         except asyncio.CancelledError:
             writer.transport.abort()  # timed out or the caller went away
             raise
         finally:
-            await hang_up(writer)
+            if reusable:
+                pool.put(host, port, reader, writer)
+            else:
+                await hang_up(writer)
 
     try:
         return await asyncio.wait_for(roundtrip(), timeout)
@@ -313,9 +378,11 @@ async def http_post(
 
 
 class XmlRpcClient:
-    """One-connection-per-call XML-RPC client.
+    """An XML-RPC client for one URI.
 
-    dial lets callers observe/override outbound connections.
+    Each call dials with dial (callers observe or override outbound
+    connections there) and closes its connection afterwards; given a
+    pool, calls reuse its kept-alive connections instead.
     """
 
     def __init__(
@@ -324,32 +391,24 @@ class XmlRpcClient:
         *,
         timeout: float = 5.0,
         dial: Dialer = asyncio.open_connection,
+        pool: Optional[ConnectionPool] = None,
     ):
         self.uri = uri
         self.host, self.port, self.path = split_http_uri(uri)
         self.timeout = timeout
         self._dial = dial
+        self._pool = pool
 
     async def call(self, method: str, params: list) -> MethodResponse:
         body = encode_call(MethodCall(method, list(params)))
         raw = await http_post(
             self.host, self.port, self.path, body,
-            timeout=self.timeout, dial=self._dial,
+            timeout=self.timeout, dial=self._dial, pool=self._pool,
         )
         try:
             return parse_response(raw)
         except CodecError as exc:
             raise RpcTransportError("unparseable response from %s: %s" % (self.uri, exc)) from exc
-
-    async def call_ros(self, method: str, params: list) -> RosResult:
-        """Call and unwrap the ROS (code, statusMessage, value) convention."""
-        response = await self.call(method, params)
-        if isinstance(response, MethodFault):
-            raise XmlRpcFaultError(response.code, response.message)
-        try:
-            return RosResult.from_value(response.value)
-        except ValueError as exc:
-            raise RpcTransportError("response from %s is not a ROS result: %s" % (self.uri, exc)) from exc
 
 
 async def forward(
@@ -357,17 +416,17 @@ async def forward(
     call: MethodCall,
     *,
     timeout: float,
-    dial: Dialer,
+    pool: ConnectionPool,
     target: str,
 ) -> MethodResponse:
-    """Relay call to uri and return its answer.
+    """Relay call to uri over a connection from pool and return its answer.
 
     This is the one place a failed round trip (refused, timeout, non-200,
     unparseable body) becomes a FAULT_TRANSPORT fault; target names the
     far end in that fault and in the one warning line logged for it.
     """
     try:
-        return await XmlRpcClient(uri, timeout=timeout, dial=dial).call(
+        return await XmlRpcClient(uri, timeout=timeout, pool=pool).call(
             call.method_name, call.params
         )
     except RpcTransportError as exc:

@@ -112,7 +112,7 @@ class MasterGateway:
 
     Like the slave gateways, it reads its settings from registry.config:
     the upstream master, the main port, the bind host and the timeout of a
-    forwarded call. It dials with registry.dial.
+    forwarded call. It forwards over registry.pool.
     """
 
     def __init__(self, registry: Registry, slave_gateways: SlaveGatewayManager):
@@ -155,6 +155,7 @@ class MasterGateway:
 
             caller_id = call.params[0]
             params = list(call.params)
+            record = None
             try:
                 record = await self._node_for(caller_id, params[rule.caller_api_index])
                 params[rule.caller_api_index] = self.slave_gateways.advertised_uri(record)
@@ -167,7 +168,8 @@ class MasterGateway:
                 return MethodFault(FAULT_APP, "node vanished during handling: %s" % exc)
             except Exception as exc:  # Exhausted, BindFailed
                 log.error("cannot provision %s for %s: %s", call.method_name, caller_id, exc)
-                await self.registry.purge_if_idle(caller_id)  # else a new record keeps its lease
+                if record is not None:  # else a new record keeps its lease
+                    await self.registry.purge_record(record, only_if_idle=True)
                 return MethodFault(FAULT_APP, "cannot provision node resources: %s" % exc)
 
             name = params[rule.name_index]
@@ -181,7 +183,7 @@ class MasterGateway:
         config = self.registry.config
         return await forward(
             config.upstream_master_uri, call, timeout=config.request_timeout,
-            dial=self.registry.dial, target="upstream master",
+            pool=self.registry.pool, target="upstream master",
         )
 
     async def _node_for(self, caller_id: str, caller_api: str) -> NodeRecord:

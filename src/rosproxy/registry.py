@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from .config import ProxyConfig
-from .http11 import Dialer, close_server, forward
+from .http11 import ConnectionPool, Dialer, close_server, forward, split_http_uri
 from .ports import PortAllocator, PortLease, PURPOSE_SLAVE_API, PURPOSE_TCPROS
 from .relay import RelayHandle, close_relay, open_relay
 from .xmlrpc_codec import MethodCall, MethodSuccess, RosResult
@@ -72,8 +72,8 @@ GatewayFactory = Callable[[NodeRecord], Awaitable[asyncio.AbstractServer]]
 def _shielded(change):
     """Run a registry change to the end even if its caller is cancelled, as
     a closing port's handlers are, so no change is left half done."""
-    async def run(*args):
-        return await asyncio.shield(change(*args))
+    async def run(*args, **kwargs):
+        return await asyncio.shield(change(*args, **kwargs))
     return functools.wraps(change)(run)
 
 
@@ -81,8 +81,9 @@ class Registry:
     """The shared node map; all mutation goes through one lock.
 
     It also owns what every part of the proxy shares: the config, the port
-    allocator over config.port_range and the dialer. The gateways read
-    them from here.
+    allocator over config.port_range, the dialer and the pool of kept-alive
+    connections that forwarded calls take from it. The gateways read them
+    from here.
     """
 
     def __init__(self, config: ProxyConfig, gateway_factory: GatewayFactory, *, dial: Dialer):
@@ -90,6 +91,7 @@ class Registry:
         self.allocator = PortAllocator(config.port_range)
         self.gateway_factory = gateway_factory
         self.dial = dial
+        self.pool = ConnectionPool(dial)
         self.nodes: Dict[str, NodeRecord] = {}
         self._lock = asyncio.Lock()
         self._grace_tasks: Set[asyncio.Task] = set()
@@ -185,17 +187,22 @@ class Registry:
             await self._purge_locked(record)
 
     @_shielded
-    async def purge_if_idle(self, caller_id: str) -> None:
-        """Purge caller_id if it holds no registration and no grace timer
-        is running for it: when its grace timer has fired, or when a
-        registration failed after its record was built."""
+    async def purge_record(self, record: NodeRecord, *, only_if_idle: bool = False) -> None:
+        """Purge record if it is still its caller_id's: a restart may have
+        replaced it while this waited for the lock. With only_if_idle, also
+        only if it holds no registration and no grace timer is running for
+        it: when its grace timer has fired, or when a registration failed
+        after the record was built."""
         async with self._lock:
-            record = self.nodes.get(caller_id)
-            if (record is not None and not record.purged
-                    and record.refcount() == 0 and record._grace_timer is None):
-                await self._purge_locked(record)
+            if self.nodes.get(record.caller_id) is not record:
+                return
+            if only_if_idle and (record.refcount() or record._grace_timer is not None):
+                return
+            await self._purge_locked(record)
 
     async def purge_all(self) -> None:
+        """Purge every node, then close the pooled connections left, such
+        as those to the upstream master."""
         async with self._lock:
             for record in list(self.nodes.values()):
                 if not record.purged:
@@ -203,6 +210,7 @@ class Registry:
         # a grace purge that fired meanwhile finds its node gone; let it
         # finish rather than leave it pending past shutdown
         await asyncio.gather(*self._grace_tasks, return_exceptions=True)
+        await self.pool.close()
 
     async def _purge_locked(self, record: NodeRecord) -> None:
         # Order matters: the gateway port must refuse before anything
@@ -214,6 +222,7 @@ class Registry:
             await close_relay(handle)
             self.allocator.release(handle.lease)
         record.tcpros_relays.clear()
+        await self.pool.close(*split_http_uri(record.real_slave_uri)[:2])
         self.allocator.release(record.gateway_lease)
         self.nodes.pop(record.caller_id, None)
         log.info("node %s purged (gateway port %d released)",
@@ -227,7 +236,7 @@ class Registry:
 
         def fire():
             record._grace_timer = None
-            task = asyncio.ensure_future(self.purge_if_idle(record.caller_id))
+            task = asyncio.ensure_future(self.purge_record(record, only_if_idle=True))
             self._grace_tasks.add(task)
             task.add_done_callback(self._grace_tasks.discard)
 
@@ -249,7 +258,7 @@ class Registry:
         async def ping_one(record: NodeRecord):
             response = await forward(
                 record.real_slave_uri, MethodCall("getPid", [PING_CALLER_ID]),
-                timeout=self.config.request_timeout, dial=self.dial,
+                timeout=self.config.request_timeout, pool=self.pool,
                 target="node %s" % record.caller_id,
             )
             try:
@@ -269,10 +278,7 @@ class Registry:
                         record.caller_id, record.real_slave_uri,
                         record.ping_failures, self.config.ping_failure_threshold)
             if record.ping_failures >= self.config.ping_failure_threshold:
-                try:
-                    await self.purge_node(record.caller_id)
-                except UnknownNode:
-                    pass
+                await self.purge_record(record)
                 return record.caller_id, "purged"
             return record.caller_id, "failed"
 

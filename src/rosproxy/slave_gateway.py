@@ -40,7 +40,7 @@ class SlaveGatewayManager:
     """Starts per-node listeners and does the requestTopic rewrite.
 
     Its settings are the registry's: listeners bind to, and forwards use
-    the timeout of, registry.config, and forwards dial with registry.dial.
+    the timeout of, registry.config, and forwards go over registry.pool.
     """
 
     def __init__(self, registry: Registry):
@@ -76,7 +76,7 @@ class SlaveGatewayManager:
     async def handle_slave_call(self, record: NodeRecord, call: MethodCall) -> MethodResponse:
         response = await forward(
             record.real_slave_uri, call, timeout=self.registry.config.request_timeout,
-            dial=self.registry.dial, target="node %s" % record.caller_id,
+            pool=self.registry.pool, target="node %s" % record.caller_id,
         )
         if call.method_name == "requestTopic" and isinstance(response, MethodSuccess):
             try:

@@ -132,6 +132,67 @@ async def poll_refused(host, port, timeout=5.0, interval=0.025):
         await asyncio.sleep(interval)
 
 
+class KeepAlivePeer:
+    """An HTTP/1.1 peer on 127.0.0.1 that keeps its connections alive and
+    answers each POST with answer(body), by default the body itself,
+    followed by trailer. A body of b"stall" gets all but the last bytes
+    of its answer, then silence until the client hangs up.
+
+    It keeps every request head and the server side of every connection.
+    It counts the connections that have ended (closed) and those the
+    client ended with a clean EOF (eofs)."""
+
+    def __init__(self, answer=lambda body: body, trailer=b""):
+        self.answer = answer
+        self.trailer = trailer
+        self.heads = []
+        self.connections = []
+        self.eofs = 0
+        self.closed = 0
+        self.stalled = asyncio.Event()
+
+    async def start(self):
+        self.server = await asyncio.start_server(self._serve, "127.0.0.1", 0)
+        self.port = self.server.sockets[0].getsockname()[1]
+        return self
+
+    async def _serve(self, reader, writer):
+        self.connections.append(writer)
+        try:
+            while True:
+                head = await reader.readuntil(b"\r\n\r\n")
+                self.heads.append(head)
+                length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+                body = await reader.readexactly(length)
+                answer = self.answer(body)
+                response = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(answer), answer)
+                if body == b"stall":
+                    writer.write(response[:-2])
+                    self.stalled.set()
+                    await reader.read()
+                    self.eofs += 1
+                    return
+                writer.write(response + self.trailer)
+        except asyncio.IncompleteReadError as exc:
+            self.eofs += not exc.partial
+        except ConnectionError:
+            pass
+        finally:
+            self.closed += 1
+            writer.close()
+
+    def hang_up_all(self):
+        for writer in self.connections:
+            writer.close()
+
+    async def stop(self):
+        self.server.close()
+        for writer in self.connections:
+            writer.transport.abort()
+        await poll_until(lambda: self.closed == len(self.connections), timeout=2.0)
+        await self.server.wait_closed()
+
+
 async def poll_until(predicate, timeout=5.0, interval=0.025):
     start = time.monotonic()
     while not predicate():

@@ -3,9 +3,12 @@
 Holds peers on three kinds of port of a running ProxyApp: an idle
 keep-alive client on the main port, one on a node's gateway, and on a
 relay an idle client plus one that stops reading while the target floods
-it. Then it restarts the node's caller_id with a new URI, purges the
-node, and stops the app, timing each step. It reports the leases, tasks
-and file descriptors left behind.
+it. The upstream master and the node answer on kept-alive connections,
+so the proxy also holds idle pooled connections to both. Then it
+restarts the node's caller_id with a new URI, purges the node, and stops
+the app, timing each step. It reports the pooled connections at the
+start of teardown and after stop, and the leases, tasks and file
+descriptors left behind.
 
 Run as a script (``PYTHONPATH=src python tests/teardown_probe.py``), it
 prints the report as JSON and exits 1 if any check failed, so any
@@ -19,7 +22,8 @@ import sys
 import time
 
 from rosproxy.app import ProxyApp
-from rosproxy.http11 import XmlRpcClient, serve_xmlrpc
+from rosproxy.harness.rpc import RosClient
+from rosproxy.http11 import serve_xmlrpc
 from rosproxy.xmlrpc_codec import MethodCall, MethodSuccess, encode_call
 
 from helpers import free_port, make_config
@@ -122,7 +126,7 @@ async def probe() -> dict:
     ).validate()
     app = ProxyApp(config)
     await app.start()
-    master = XmlRpcClient("http://%s:%d/" % (HOST, config.main_port), timeout=2.0)
+    master = RosClient("http://%s:%d/" % (HOST, config.main_port), timeout=2.0)
 
     async def register(node_uri):
         result = await master.call_ros(
@@ -136,7 +140,7 @@ async def probe() -> dict:
         await idle_keep_alive_peer(config.main_port),
         await idle_keep_alive_peer(record.gateway_port),
     ]
-    gateway = XmlRpcClient("http://%s:%d/" % (HOST, record.gateway_port), timeout=2.0)
+    gateway = RosClient("http://%s:%d/" % (HOST, record.gateway_port), timeout=2.0)
     topic = await gateway.call_ros("requestTopic", ["/sub", "/chat", [["TCPROS"]]])
     relay_port = topic.value[2]
     (relay,) = record.tcpros_relays.values()
@@ -156,11 +160,13 @@ async def probe() -> dict:
     await settle(flood_stalled, timeout=STUCK_S, interval=0.05)
 
     report = {"python": sys.version.split()[0], "relay_bytes_out": relay.bytes_out}
+    report["pooled_at_start"] = app.registry.pool.idle_count()
     report["restart_s"] = await timed(register("http://%s:%d/restarted" % (HOST, node_port)))
     fresh = app.registry.get(CALLER_ID)
     peers.append(await idle_keep_alive_peer(fresh.gateway_port))
     report["purge_s"] = await timed(app.registry.purge_node(CALLER_ID))
     report["stop_s"] = await timed(app.stop())
+    report["pooled_after_stop"] = app.registry.pool.idle_count()
     report["leases"] = [repr(lease) for lease in app.registry.allocator.live_leases()]
     # the relay aborted the connections it dialed, so the target saw them end
     await settle(lambda: not live_targets)
@@ -176,6 +182,8 @@ async def probe() -> dict:
     report["fds"] = [fds_before, open_fds()]
     report["ok"] = (
         all(report[k] < STEP_LIMIT_S for k in ("restart_s", "purge_s", "stop_s"))
+        and report["pooled_at_start"] > 0
+        and report["pooled_after_stop"] == 0
         and not report["leases"]
         and not report["target_connections"]
         and not report["pending_tasks"]

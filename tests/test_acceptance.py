@@ -30,7 +30,8 @@ from rosproxy.harness.scenarios import (
     scenario_stale,
     segment,
 )
-from rosproxy.http11 import XmlRpcClient, serve_xmlrpc, split_http_uri, split_rosrpc_uri
+from rosproxy.harness.rpc import RosClient
+from rosproxy.http11 import close_server, serve_xmlrpc, split_http_uri, split_rosrpc_uri
 from rosproxy.master_gateway import REWRITE_RULES
 from rosproxy.ports import Exhausted, PortAllocator, PortRange
 from rosproxy.relay import close_relay, open_relay
@@ -214,10 +215,10 @@ async def test_criterion_3_rewrite_completeness():
 
         # requestTopic: same answer frame, only transport host:port move
         record = registry.get("/pnode")
-        direct = await XmlRpcClient(slave_uri).call_ros(
+        direct = await RosClient(slave_uri).call_ros(
             "requestTopic", ["/sub", "/chat", [["TCPROS"]]]
         )
-        proxied = await XmlRpcClient(
+        proxied = await RosClient(
             "http://%s:%d/" % (ADVERTISED_HOST, record.gateway_port)
         ).call_ros("requestTopic", ["/sub", "/chat", [["TCPROS"]]])
 
@@ -229,10 +230,8 @@ async def test_criterion_3_rewrite_completeness():
         assert low <= proxied.value[2] <= high
         assert proxied.value[2] != direct.value[2]
     finally:
-        upstream.close()
-        await upstream.wait_closed()
-        slave.close()
-        await slave.wait_closed()
+        await close_server(upstream)
+        await close_server(slave)
         await registry.purge_all()
     assert registry.allocator.live_leases() == []
 

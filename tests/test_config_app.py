@@ -12,7 +12,8 @@ import pytest
 
 from rosproxy.app import EXIT_FATAL, EXIT_OK, ProxyApp, run
 from rosproxy.config import SETTINGS, ConfigError, ProxyConfig, load_config
-from rosproxy.http11 import RpcTransportError, XmlRpcClient, serve_xmlrpc
+from rosproxy.harness.rpc import RosClient
+from rosproxy.http11 import RpcTransportError, close_server, serve_xmlrpc
 from rosproxy.ports import PortRange
 from rosproxy.registry import KIND_PUB
 from rosproxy.xmlrpc_codec import MethodSuccess
@@ -157,7 +158,7 @@ async def test_app_start_serve_stop_releases_everything():
     app = ProxyApp(cfg)
     await app.start()
     try:
-        client = XmlRpcClient("http://127.0.0.1:%d/" % cfg.main_port, timeout=2.0)
+        client = RosClient("http://127.0.0.1:%d/" % cfg.main_port, timeout=2.0)
         result = await client.call_ros(
             "registerPublisher",
             ["/talker", "/chat", "std_msgs/String", "http://127.0.0.1:1/"],
@@ -166,8 +167,7 @@ async def test_app_start_serve_stop_releases_everything():
         assert len(app.registry.allocator.live_leases()) == 1
     finally:
         await app.stop()
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(upstream)
     assert app.registry.allocator.live_leases() == []
     # every port is bindable again after shutdown (SO_REUSEADDR, as any
     # restarted asyncio server would have: only TIME_WAIT remnants remain)
@@ -202,8 +202,7 @@ async def test_stop_during_grace_purge_leaves_no_task_or_lease():
     try:
         await app.stop()
     finally:
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(upstream)
     assert holder.done()
     assert [t for t in asyncio.all_tasks() if t is not asyncio.current_task()] == []
     assert app.registry.allocator.live_leases() == []
@@ -222,7 +221,7 @@ async def test_stop_during_registration_leaves_no_lease():
 
     app.registry.gateway_factory = slow_gateway
     await app.start()
-    client = XmlRpcClient("http://127.0.0.1:%d/" % app.config.main_port, timeout=2.0)
+    client = RosClient("http://127.0.0.1:%d/" % app.config.main_port, timeout=2.0)
     call = asyncio.ensure_future(client.call_ros(
         "registerPublisher", ["/talker", "/chat", "std_msgs/String", "http://127.0.0.1:1/"]
     ))
@@ -230,8 +229,7 @@ async def test_stop_during_registration_leaves_no_lease():
     try:
         await app.stop()
     finally:
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(upstream)
     with pytest.raises(RpcTransportError):
         await call
     assert app.registry.allocator.live_leases() == []
@@ -268,7 +266,7 @@ async def test_one_dialer_reaches_every_outbound_connection():
     app = ProxyApp(make_config(uri).validate(), dial=recording_dial)
     await app.start()
     try:
-        master = XmlRpcClient("http://127.0.0.1:%d/" % app.config.main_port, timeout=2.0)
+        master = RosClient("http://127.0.0.1:%d/" % app.config.main_port, timeout=2.0)
         await master.call_ros("registerPublisher", [
             "/talker", "/chat", "std_msgs/String", "http://127.0.0.1:%d/" % node_port,
         ])
@@ -276,10 +274,15 @@ async def test_one_dialer_reaches_every_outbound_connection():
         assert dials == [upstream_port]
 
         record = app.registry.get("/talker")
-        gateway = XmlRpcClient("http://127.0.0.1:%d/" % record.gateway_port, timeout=2.0)
+        gateway = RosClient("http://127.0.0.1:%d/" % record.gateway_port, timeout=2.0)
         result = await gateway.call_ros("requestTopic", ["/listener", "/chat", [["TCPROS"]]])
         assert dials == [upstream_port, node_port]
 
+        # the ping reuses the gateway forward's kept-alive connection ...
+        assert await app.registry.ping_cycle() == [("/talker", "ok")]
+        assert dials == [upstream_port, node_port]
+        # ... and, with none idle, dials its own
+        await app.registry.pool.close("127.0.0.1", node_port)
         assert await app.registry.ping_cycle() == [("/talker", "ok")]
         assert dials == [upstream_port, node_port, node_port]
 
@@ -307,8 +310,7 @@ async def test_app_occupied_main_port_is_fatal_exit():
     finally:
         squatter.close()
         await squatter.wait_closed()
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(upstream)
 
 
 async def test_run_exits_cleanly_on_sigterm():
@@ -319,8 +321,7 @@ async def test_run_exits_cleanly_on_sigterm():
     os.kill(os.getpid(), signal.SIGTERM)
     code = await asyncio.wait_for(task, 5.0)
     assert code == EXIT_OK
-    upstream.close()
-    await upstream.wait_closed()
+    await close_server(upstream)
 
 
 def test_cli_config_error_exit_code(monkeypatch):

@@ -1,13 +1,20 @@
 """The one forward path: every way a relayed round trip can fail reaches
-the master gateway, a slave gateway and the pinger the same way."""
+the master gateway, a slave gateway and the pinger the same way, and
+the connections it keeps alive to a node end with the node's record."""
 
 import asyncio
 
 import pytest
 
-from rosproxy.xmlrpc_codec import FAULT_TRANSPORT, MethodCall, MethodFault
+from rosproxy.xmlrpc_codec import (
+    FAULT_TRANSPORT,
+    MethodCall,
+    MethodFault,
+    MethodSuccess,
+    encode_response,
+)
 
-from helpers import free_port
+from helpers import KeepAlivePeer, free_port, poll_until
 from test_master_gateway import build_gateway
 
 FAILURES = ("refused", "timeout", "status", "unparseable")
@@ -65,4 +72,29 @@ async def test_transport_failure_takes_the_one_forward_path(failure, path):
         if server is not None:
             server.close()
             await server.wait_closed()
+    assert allocator.live_leases() == []
+
+
+async def test_purge_closes_the_nodes_pooled_connections():
+    pid = encode_response(MethodSuccess([1, "", 4242]))
+    peers = {name: await KeepAlivePeer(lambda body: pid).start() for name in ("/a", "/b")}
+    gateway, registry, manager, allocator = build_gateway("")
+    try:
+        for name, peer in peers.items():
+            record = await registry.ensure_node(name, "http://127.0.0.1:%d/" % peer.port)
+            response = await manager.handle_slave_call(record, MethodCall("getPid", ["/probe"]))
+            assert response == MethodSuccess([1, "", 4242])
+        assert registry.pool.idle_count() == 2
+        await registry.purge_node("/a")
+        await poll_until(lambda: peers["/a"].eofs == 1, timeout=2.0)
+        assert registry.pool.idle_count() == 1
+        assert peers["/b"].closed == 0
+        # the other node's connection is still the one its calls use
+        await manager.handle_slave_call(registry.get("/b"), MethodCall("getPid", ["/probe"]))
+        assert len(peers["/b"].connections) == 1
+    finally:
+        await registry.purge_all()
+        await registry.pool.close()
+        for peer in peers.values():
+            await peer.stop()
     assert allocator.live_leases() == []

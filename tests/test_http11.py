@@ -1,15 +1,20 @@
 """HTTP/XML-RPC transport tests: server dispatch, client round trips,
-error statuses, keep-alive, the dial hook and the response size bound."""
+error statuses, keep-alive, the dial hook, the response size bound and
+the pool of kept-alive client connections."""
 
 import asyncio
+import threading
+import xmlrpc.server
 
 import pytest
 
+from rosproxy import http11
+from rosproxy.harness.rpc import RosClient, XmlRpcFaultError
 from rosproxy.http11 import (
     BindFailed,
+    ConnectionPool,
     RpcTransportError,
     XmlRpcClient,
-    XmlRpcFaultError,
     http_post,
     serve_http,
     serve_xmlrpc,
@@ -25,7 +30,7 @@ from rosproxy.xmlrpc_codec import (
     MethodCall,
 )
 
-from helpers import free_port
+from helpers import KeepAlivePeer, free_port, poll_until
 
 
 def test_split_http_uri():
@@ -87,7 +92,7 @@ async def test_call_ros_unwraps_and_raises():
     port = free_port()
     server = await serve_xmlrpc("127.0.0.1", port, dispatch)
     try:
-        client = XmlRpcClient("http://127.0.0.1:%d/" % port)
+        client = RosClient("http://127.0.0.1:%d/" % port)
         result = await client.call_ros("ok", ["/node"])
         assert result == RosResult(1, "fine", ["/node"])
         with pytest.raises(XmlRpcFaultError) as err:
@@ -105,7 +110,7 @@ async def test_non_ros_shaped_response_is_transport_error():
     port = free_port()
     server = await serve_xmlrpc("127.0.0.1", port, dispatch)
     try:
-        client = XmlRpcClient("http://127.0.0.1:%d/" % port)
+        client = RosClient("http://127.0.0.1:%d/" % port)
         with pytest.raises(RpcTransportError):
             await client.call_ros("whatever", [])
     finally:
@@ -284,3 +289,122 @@ async def test_response_body_is_bounded():
     finally:
         server.close()
         await server.wait_closed()
+
+
+# -- the pool of kept-alive client connections ------------------------
+
+
+def recording_pool():
+    dials = []
+
+    async def dial(host, port):
+        dials.append((host, port))
+        return await asyncio.open_connection(host, port)
+
+    return ConnectionPool(dial), dials
+
+
+async def test_pool_reuses_a_kept_alive_connection():
+    peer = await KeepAlivePeer().start()
+    pool, dials = recording_pool()
+    try:
+        for n in range(3):
+            body = b"call %d" % n
+            assert await http_post("127.0.0.1", peer.port, "/", body, pool=pool) == body
+        assert dials == [("127.0.0.1", peer.port)]
+        assert pool.idle_count() == 1
+        assert not any(b"connection: close" in head.lower() for head in peer.heads)
+    finally:
+        await pool.close()
+        await peer.stop()
+
+
+async def test_http10_peer_is_never_pooled():
+    """stdlib xmlrpc.server (rosmaster, rospy) answers HTTP/1.0 and closes."""
+    server = xmlrpc.server.SimpleXMLRPCServer(("127.0.0.1", 0), logRequests=False)
+    server.register_function(lambda caller_id: [1, "", 4242], "getPid")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    pool, dials = recording_pool()
+    try:
+        uri = "http://127.0.0.1:%d/" % server.server_address[1]
+        client = XmlRpcClient(uri, pool=pool)
+        for _ in range(3):
+            assert await client.call("getPid", ["/probe"]) == MethodSuccess([1, "", 4242])
+            assert pool.idle_count() == 0
+        assert len(dials) == 3
+    finally:
+        await asyncio.get_running_loop().run_in_executor(None, server.shutdown)
+        thread.join(5.0)
+        server.server_close()
+
+
+async def test_connection_the_peer_closed_while_idle_is_replaced():
+    peer = await KeepAlivePeer().start()
+    pool, dials = recording_pool()
+    try:
+        assert await http_post("127.0.0.1", peer.port, "/", b"first", pool=pool) == b"first"
+        assert pool.idle_count() == 1
+        peer.hang_up_all()
+        await poll_until(lambda: peer.closed == 1, timeout=2.0)
+        await asyncio.sleep(0.05)  # the client's loop sees the close too
+        assert await http_post("127.0.0.1", peer.port, "/", b"second", pool=pool) == b"second"
+        assert len(dials) == 2
+        assert pool.idle_count() == 1
+    finally:
+        await pool.close()
+        await peer.stop()
+
+
+@pytest.mark.parametrize("interruption", ["timeout", "cancel", "trailer"])
+async def test_interrupted_answer_never_returns_its_connection(interruption):
+    peer = await KeepAlivePeer(trailer=b"stray" if interruption == "trailer" else b"").start()
+    pool, dials = recording_pool()
+    try:
+        if interruption == "timeout":
+            with pytest.raises(RpcTransportError):
+                await http_post("127.0.0.1", peer.port, "/", b"stall", timeout=0.3, pool=pool)
+        elif interruption == "cancel":
+            call = asyncio.ensure_future(
+                http_post("127.0.0.1", peer.port, "/", b"stall", pool=pool)
+            )
+            await asyncio.wait_for(peer.stalled.wait(), 2.0)
+            await asyncio.sleep(0.05)  # the half answer reaches the client
+            call.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await call
+        else:
+            assert await http_post("127.0.0.1", peer.port, "/", b"first", pool=pool) == b"first"
+        assert pool.idle_count() == 0
+        await poll_until(lambda: peer.eofs == 1, timeout=2.0)
+        assert await http_post("127.0.0.1", peer.port, "/", b"own answer", pool=pool) == b"own answer"
+        assert len(dials) == 2
+    finally:
+        await pool.close()
+        await peer.stop()
+
+
+async def test_pool_keeps_idle_connections_within_its_bounds(monkeypatch):
+    monkeypatch.setattr(http11, "IDLE_PER_TARGET", 2)
+    monkeypatch.setattr(http11, "IDLE_TOTAL", 5)
+    peers = [await KeepAlivePeer().start() for _ in range(6)]  # one per node URI
+    pool, dials = recording_pool()
+    try:
+        for peer in peers:
+            # three calls at once need three connections; two stay idle
+            await asyncio.gather(*(
+                http_post("127.0.0.1", peer.port, "/", b"x", pool=pool) for _ in range(3)
+            ))
+            assert pool.idle_count() <= 5
+            assert all(len(stack) <= 2 for stack in pool._idle.values())
+        assert pool.idle_count() == 5
+        # the evicted ones were closed: each peer holds open only what is idle
+        open_at = lambda peer: len(peer.connections) - peer.closed
+        await poll_until(lambda: sum(map(open_at, peers)) == 5, timeout=2.0)
+        # the least recently used target lost its connections first
+        assert [open_at(peer) for peer in peers] == [0, 0, 0, 1, 2, 2]
+        assert len(dials) == 18
+    finally:
+        await pool.close()
+        for peer in peers:
+            await peer.stop()

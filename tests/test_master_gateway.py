@@ -6,7 +6,8 @@ import asyncio
 import pytest
 
 from rosproxy.app import ProxyApp
-from rosproxy.http11 import XmlRpcClient, serve_xmlrpc
+from rosproxy.harness.rpc import RosClient
+from rosproxy.http11 import close_server, serve_xmlrpc
 from rosproxy.master_gateway import BadSignature, REWRITE_RULES, _check_signature
 from rosproxy.xmlrpc_codec import (
     FAULT_APP,
@@ -85,8 +86,7 @@ async def test_register_publisher_rewrites_caller_api():
         assert record.publications == {"/chat"}
         assert record.real_slave_uri == "http://10.0.2.3:43231/"
     finally:
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(upstream)
         await registry.purge_all()
 
 
@@ -105,8 +105,7 @@ async def test_register_subscriber_response_passes_back_unmodified():
         assert response == MethodSuccess([1, "Subscribed", ["http://pub-elsewhere:5555/"]])
         assert registry.get("/listener").subscriptions == {"/chat"}
     finally:
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(upstream)
         await registry.purge_all()
 
 
@@ -137,8 +136,7 @@ async def test_unregister_uses_three_param_signature_and_drops_refcount():
             ["/listener", "/chat", "http://%s:%d/" % (ADV, record.gateway_port)],
         )
     finally:
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(upstream)
         await registry.purge_all()
 
 
@@ -184,8 +182,7 @@ async def test_register_service_rewrites_both_apis_and_relays():
     finally:
         srv.close()
         await srv.wait_closed()
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(upstream)
         await registry.purge_all()
 
 
@@ -221,8 +218,7 @@ async def test_register_service_without_relay_port_purges_only_a_new_node():
         assert len(allocator.live_leases()) == 1
         assert [method for method, _ in calls] == ["registerPublisher"]
     finally:
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(upstream)
         await registry.purge_all()
 
 
@@ -267,8 +263,7 @@ async def test_bad_signatures_become_param_faults():
         assert registry.nodes == {}  # ...nor provisioned anything
         assert allocator.live_leases() == []
     finally:
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(upstream)
         await registry.purge_all()
 
 
@@ -290,8 +285,8 @@ async def test_non_intercepted_methods_pass_through_semantically():
             assert calls[-1] == (method, params)
         assert registry.nodes == {}  # passthrough never creates records
     finally:
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(upstream)
+        await registry.purge_all()
 
 
 async def test_unreachable_upstream_is_transport_fault():
@@ -345,8 +340,7 @@ async def test_reregistration_is_idempotent_incl_advertised_uri_echo():
         sent_apis = {params[3] for _, params in calls}
         assert sent_apis == {manager.advertised_uri(record)}
     finally:
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(upstream)
         await registry.purge_all()
 
 
@@ -362,22 +356,20 @@ async def test_http_ingress_and_node_alias_routing():
     node = await serve_xmlrpc("127.0.0.1", node_port, node_dispatch)
     await gateway.start()
     try:
-        master_client = XmlRpcClient("http://127.0.0.1:%d/" % main_port)
+        master_client = RosClient("http://127.0.0.1:%d/" % main_port)
         await master_client.call_ros(
             "registerPublisher",
             ["/talker", "/chat", "std_msgs/String", "http://127.0.0.1:%d/" % node_port],
         )
-        alias_client = XmlRpcClient("http://127.0.0.1:%d/node/%%2Ftalker" % main_port)
+        alias_client = RosClient("http://127.0.0.1:%d/node/%%2Ftalker" % main_port)
         result = await alias_client.call_ros("getPid", ["/probe"])
         assert result.value == 31337
 
-        ghost = XmlRpcClient("http://127.0.0.1:%d/node/%%2Fghost" % main_port)
+        ghost = RosClient("http://127.0.0.1:%d/node/%%2Fghost" % main_port)
         response = await ghost.call("getPid", ["/probe"])
         assert isinstance(response, MethodFault)
     finally:
         await gateway.stop()
-        node.close()
-        await node.wait_closed()
-        upstream.close()
-        await upstream.wait_closed()
+        await close_server(node)
+        await close_server(upstream)
         await registry.purge_all()

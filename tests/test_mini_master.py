@@ -5,7 +5,8 @@ import asyncio
 import pytest
 
 from rosproxy.harness.master import MiniMaster
-from rosproxy.http11 import XmlRpcClient, XmlRpcFaultError, serve_xmlrpc
+from rosproxy.harness.rpc import RosClient, XmlRpcFaultError
+from rosproxy.http11 import serve_xmlrpc
 from rosproxy.xmlrpc_codec import MethodSuccess
 
 from helpers import free_port, make_rng, poll_until
@@ -25,7 +26,7 @@ class MasterBox:
 
 
 def client(master, name="/tester"):
-    return XmlRpcClient(master.uri)
+    return RosClient(master.uri)
 
 
 async def test_register_publisher_lists_existing_subscribers():

@@ -88,9 +88,9 @@ async def test_talker_requesttopic_declines_unknown_topic_and_protocol():
     async with direct_segment() as stage:
         talker = stage.adopt(Talker("/talker", stage.master.uri, "/chat", [b"hi"]))
         await talker.start()
-        from rosproxy.http11 import XmlRpcClient
+        from rosproxy.harness.rpc import RosClient
 
-        slave = XmlRpcClient(talker.slave_uri)
+        slave = RosClient(talker.slave_uri)
         r = await slave.call_ros("requestTopic", ["/x", "/other", [["TCPROS"]]])
         assert r.code == -1
         r = await slave.call_ros("requestTopic", ["/x", "/chat", [["UDPROS"]]])

@@ -5,7 +5,7 @@ import asyncio
 
 import pytest
 
-from rosproxy.http11 import BindFailed, serve_xmlrpc
+from rosproxy.http11 import BindFailed, close_server, serve_xmlrpc
 from rosproxy.ports import Exhausted
 from rosproxy.registry import (
     KIND_PUB,
@@ -193,8 +193,7 @@ async def test_ping_ok_resets_failures():
         assert report == [("/n", "ok")]
         assert record.ping_failures == 0
     finally:
-        server.close()
-        await server.wait_closed()
+        await close_server(server)
         await registry.purge_all()
 
 
@@ -207,8 +206,7 @@ async def test_ping_fault_counts_as_failure():
         assert report == [("/n", "failed")]
         assert record.ping_failures == 1
     finally:
-        server.close()
-        await server.wait_closed()
+        await close_server(server)
         await registry.purge_all()
 
 
@@ -220,8 +218,7 @@ async def test_ping_bad_result_code_counts_as_failure():
         report = await registry.ping_cycle()
         assert report == [("/n", "failed")]
     finally:
-        server.close()
-        await server.wait_closed()
+        await close_server(server)
         await registry.purge_all()
 
 
@@ -234,8 +231,7 @@ async def test_dead_node_purged_at_threshold():
     gateway_port = record.gateway_port
     assert await registry.ping_cycle() == [("/n", "ok")]
 
-    server.close()
-    await server.wait_closed()
+    await close_server(server)  # a dead node also drops the kept-alive ping connection
 
     assert await registry.ping_cycle() == [("/n", "failed")]
     assert await registry.ping_cycle() == [("/n", "failed")]
@@ -255,8 +251,7 @@ async def test_ping_loop_purges_dead_node_within_budget():
     await registry.ensure_node("/n", uri)
     loop_task = asyncio.ensure_future(registry.run_ping_loop())
     try:
-        server.close()
-        await server.wait_closed()
+        await close_server(server)
         started = asyncio.get_event_loop().time()
         await poll_until(lambda: "/n" not in registry.nodes, timeout=3.0)
         elapsed = asyncio.get_event_loop().time() - started
@@ -268,6 +263,56 @@ async def test_ping_loop_purges_dead_node_within_budget():
             await loop_task
         except asyncio.CancelledError:
             pass
+
+
+# -- a stale purge and a restart of the same caller_id ----------------
+# The registry lock is held by hand, standing in for any other registry
+# change in progress, so the restart and the stale purge queue on it in
+# a known order.
+
+
+def lock_waiters(registry):
+    return len(registry._lock._waiters or ())
+
+
+async def test_stale_ping_purge_spares_the_restarted_record():
+    registry, allocator = make_registry(ping_failure_threshold=1)
+    await registry.ensure_node("/n", "http://127.0.0.1:%d/" % free_port())  # refuses
+    new_uri = "http://127.0.0.1:%d/" % free_port()
+    await registry._lock.acquire()
+    restart = asyncio.ensure_future(registry.ensure_node("/n", new_uri))
+    await poll_until(lambda: lock_waiters(registry) == 1, timeout=2.0)
+    ping = asyncio.ensure_future(registry.ping_cycle())
+    await poll_until(lambda: lock_waiters(registry) == 2, timeout=2.0)
+    registry._lock.release()
+    fresh = await restart
+    await ping
+    assert registry.nodes.get("/n") is fresh
+    assert fresh.real_slave_uri == new_uri
+    assert registry.add_registration("/n", KIND_PUB, "/chat") == 1
+    assert len(allocator.live_leases()) == 1
+    await registry.purge_all()
+
+
+async def test_stale_grace_purge_spares_the_restarted_record():
+    registry, allocator = make_registry(purge_grace=0.05)
+    old = await registry.ensure_node("/n", "http://127.0.0.1:1/")
+    registry.add_registration("/n", KIND_PUB, "/chat")
+    new_uri = "http://127.0.0.1:2/"
+    await registry._lock.acquire()
+    assert registry.remove_registration("/n", KIND_PUB, "/chat") == 0  # grace starts
+    restart = asyncio.ensure_future(registry.ensure_node("/n", new_uri))
+    await poll_until(lambda: lock_waiters(registry) == 1, timeout=2.0)
+    # the old record's timer fires and its purge queues behind the restart
+    await poll_until(lambda: lock_waiters(registry) == 2, timeout=2.0)
+    assert old._grace_timer is None
+    registry._lock.release()
+    fresh = await restart
+    await asyncio.gather(*registry._grace_tasks)
+    assert registry.nodes.get("/n") is fresh
+    assert registry.add_registration("/n", KIND_PUB, "/chat") == 1
+    assert len(allocator.live_leases()) == 1
+    await registry.purge_all()
 
 
 # -- resource conservation (small randomized version) -----------------

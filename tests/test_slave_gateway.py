@@ -4,7 +4,8 @@ relay reuse, and the advertised-URI construction."""
 import asyncio
 
 from rosproxy.app import ProxyApp
-from rosproxy.http11 import XmlRpcClient, serve_xmlrpc
+from rosproxy.harness.rpc import RosClient
+from rosproxy.http11 import close_server, serve_xmlrpc
 from rosproxy.ports import PortLease, PURPOSE_SLAVE_API
 from rosproxy.registry import NodeRecord
 from rosproxy.xmlrpc_codec import (
@@ -62,12 +63,11 @@ async def test_gateway_forwards_getpid():
     node, uri = await start_node_stub(tcpros_port=1, pid=777)
     try:
         record = await registry.ensure_node("/talker", uri)
-        client = XmlRpcClient("http://127.0.0.1:%d/" % record.gateway_port)
+        client = RosClient("http://127.0.0.1:%d/" % record.gateway_port)
         result = await client.call_ros("getPid", ["/someone"])
         assert result.value == 777
     finally:
-        node.close()
-        await node.wait_closed()
+        await close_server(node)
         await registry.purge_all()
 
 
@@ -77,7 +77,7 @@ async def test_request_topic_rewritten_and_relay_carries_bytes():
     node, uri = await start_node_stub(tcpros_port)
     try:
         record = await registry.ensure_node("/talker", uri)
-        client = XmlRpcClient("http://127.0.0.1:%d/" % record.gateway_port)
+        client = RosClient("http://127.0.0.1:%d/" % record.gateway_port)
         result = await client.call_ros(
             "requestTopic", ["/listener", "/chat", [["TCPROS"]]]
         )
@@ -94,8 +94,7 @@ async def test_request_topic_rewritten_and_relay_carries_bytes():
         writer.close()
         await writer.wait_closed()
     finally:
-        node.close()
-        await node.wait_closed()
+        await close_server(node)
         sock.close()
         await sock.wait_closed()
         await registry.purge_all()
@@ -107,15 +106,14 @@ async def test_request_topic_relay_deduped_across_subscribers():
     node, uri = await start_node_stub(tcpros_port=55001)
     try:
         record = await registry.ensure_node("/talker", uri)
-        client = XmlRpcClient("http://127.0.0.1:%d/" % record.gateway_port)
+        client = RosClient("http://127.0.0.1:%d/" % record.gateway_port)
         first = await client.call_ros("requestTopic", ["/sub1", "/chat", [["TCPROS"]]])
         second = await client.call_ros("requestTopic", ["/sub2", "/chat", [["TCPROS"]]])
         assert first.value == second.value
         assert len(record.tcpros_relays) == 1
         assert len(allocator.live_leases()) == 2  # gateway + one relay
     finally:
-        node.close()
-        await node.wait_closed()
+        await close_server(node)
         await registry.purge_all()
 
 
@@ -131,15 +129,14 @@ async def test_non_tcpros_and_failed_answers_pass_through():
     node = await serve_xmlrpc("127.0.0.1", port, dispatch)
     try:
         record = await registry.ensure_node("/talker", "http://127.0.0.1:%d/" % port)
-        client = XmlRpcClient("http://127.0.0.1:%d/" % record.gateway_port)
+        client = RosClient("http://127.0.0.1:%d/" % record.gateway_port)
         udp = await client.call("requestTopic", ["/s", "/udp", [["UDPROS"]]])
         assert udp == MethodSuccess([1, "ok", ["UDPROS", "127.0.0.1", 1, 2, 3]])
         failed = await client.call("requestTopic", ["/s", "/nope", [["TCPROS"]]])
         assert failed == MethodSuccess([0, "no publishers", []])
         assert record.tcpros_relays == {}
     finally:
-        node.close()
-        await node.wait_closed()
+        await close_server(node)
         await registry.purge_all()
 
 
@@ -149,16 +146,15 @@ async def test_passthrough_is_method_complete():
     rng = make_rng(0xC0DE)
     try:
         record = await registry.ensure_node("/talker", uri)
-        client = XmlRpcClient("http://127.0.0.1:%d/" % record.gateway_port)
+        client = RosClient("http://127.0.0.1:%d/" % record.gateway_port)
         for n in range(25):
             method = "method_%d" % n
             params = [random_rpc_value(rng, 0, max_depth=3) for _ in range(rng.randrange(3))]
-            direct = await XmlRpcClient(uri).call(method, params)
+            direct = await RosClient(uri).call(method, params)
             proxied = await client.call(method, params)
             assert proxied == direct == MethodSuccess(["echo", method, params])
     finally:
-        node.close()
-        await node.wait_closed()
+        await close_server(node)
         await registry.purge_all()
 
 
@@ -167,7 +163,7 @@ async def test_unreachable_node_yields_transport_fault():
     dead_uri = "http://127.0.0.1:%d/" % free_port()
     record = await registry.ensure_node("/gone", dead_uri)
     try:
-        client = XmlRpcClient("http://127.0.0.1:%d/" % record.gateway_port)
+        client = RosClient("http://127.0.0.1:%d/" % record.gateway_port)
         response = await client.call("getPid", ["/x"])
         assert isinstance(response, MethodFault)
         assert response.code == FAULT_TRANSPORT
@@ -215,8 +211,7 @@ async def test_protocol_params_shapes():
         relay = record.tcpros_relays[("127.0.0.1", 55003)]
         assert good == MethodSuccess([1, "ok", ["TCPROS", "127.0.0.1", relay.port]])
     finally:
-        node.close()
-        await node.wait_closed()
+        await close_server(node)
         await registry.purge_all()
 
 
@@ -248,6 +243,5 @@ async def test_offset_shifts_advertised_ports():
         relay = record.tcpros_relays[("127.0.0.1", 55002)]
         assert result.value == ["TCPROS", "192.0.2.10", relay.port + 500]
     finally:
-        node.close()
-        await node.wait_closed()
+        await close_server(node)
         await registry.purge_all()

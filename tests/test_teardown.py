@@ -20,6 +20,8 @@ async def test_teardown_with_idle_and_slow_peers():
     report = await teardown_probe.probe()
     for step in ("restart_s", "purge_s", "stop_s"):
         assert report[step] < teardown_probe.STEP_LIMIT_S, report
+    assert report["pooled_at_start"] > 0
+    assert report["pooled_after_stop"] == 0
     assert report["leases"] == []
     assert report["target_connections"] == 0
     assert report["pending_tasks"] == []
