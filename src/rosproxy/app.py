@@ -59,8 +59,8 @@ async def run(config: ProxyConfig) -> int:
     for line in config.echo_lines():
         log.info("config %s", line)
 
-    app = ProxyApp(config)
     try:
+        app = ProxyApp(config)  # resolves the bind host
         await app.start()
     except BindFailed as exc:
         log.error("startup failed: %s", exc)

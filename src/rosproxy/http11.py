@@ -11,15 +11,18 @@ side takes a body over MAX_MESSAGE_BYTES.
 Chunked transfer is out of scope for ROS peers.
 
 Every listener is built by listen and closed by close_server: closing a
-port aborts its connections instead of waiting on their peers.
+port aborts its connections instead of waiting on their peers. The proxy
+looks its bind host up once (bind_addresses) and hands every listen the
+numeric addresses, which asyncio binds without a resolver thread.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
+import socket
 import weakref
-from typing import Awaitable, Callable, Optional
+from typing import Awaitable, Callable, Optional, Sequence, Union
 from urllib.parse import urlsplit
 
 from .xmlrpc_codec import (
@@ -45,20 +48,38 @@ IDLE_TOTAL = 64  # ... and over all targets
 
 # async (host, port) -> (reader, writer); override point for dial recording
 Dialer = Callable[[str, int], Awaitable[tuple]]
+# what a listener binds: one host, or a list of them (see bind_addresses)
+BindHosts = Union[str, Sequence[str]]
 
 
 class BindFailed(Exception):
-    """A listener could not bind its port (occupied outside our control)."""
+    """A listener could not bind its port (occupied outside our control),
+    or its host does not resolve."""
 
 
 connection_tasks = weakref.WeakKeyDictionary()  # listener -> its handler tasks
 
 
-async def listen(host: str, port: int, on_connection) -> asyncio.AbstractServer:
+def bind_addresses(host: str) -> list:
+    """The numeric addresses a listener on host ("" for every interface)
+    binds, in order and without repeats: the passive lookup asyncio makes
+    for a host it cannot read as an address. Raises BindFailed if host
+    does not resolve."""
+    try:
+        infos = socket.getaddrinfo(host or None, 0, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE)
+    except OSError as exc:
+        raise BindFailed("cannot resolve bind host %r: %s" % (host, exc)) from exc
+    return list(dict.fromkeys(info[4][0] for info in infos))
+
+
+async def listen(host: BindHosts, port: int, on_connection) -> asyncio.AbstractServer:
     """Serve each connection with a task running on_connection(reader,
     writer). The connection is aborted when its task ends, so a handler
-    whose peer must get the last bytes awaits hang_up first. Raises
-    BindFailed if the port cannot be bound."""
+    whose peer must get the last bytes awaits hang_up first. host is one
+    host or a list of them; numeric ones (see bind_addresses) bind with
+    no lookup, while a name or "" costs a getaddrinfo in the loop's
+    executor on every call. Raises BindFailed if the port cannot be
+    bound."""
     tasks = set()
 
     def accept(reader, writer):
@@ -69,7 +90,8 @@ async def listen(host: str, port: int, on_connection) -> asyncio.AbstractServer:
     try:
         server = await asyncio.start_server(accept, host or None, port)
     except OSError as exc:
-        raise BindFailed("cannot bind %s:%d: %s" % (host or "*", port, exc)) from exc
+        where = host if isinstance(host, str) else " ".join(host)
+        raise BindFailed("cannot bind port %d on %s: %s" % (port, where or "*", exc)) from exc
     connection_tasks[server] = tasks
     return server
 
@@ -157,7 +179,7 @@ def _http_response(status: int, body: bytes, keep_alive: bool) -> bytes:
 
 
 async def serve_http(
-    host: str,
+    host: BindHosts,
     port: int,
     handler: Callable[[str, bytes, tuple], Awaitable[tuple]],
 ) -> asyncio.AbstractServer:
@@ -215,7 +237,7 @@ async def serve_http(
 
 
 def serve_xmlrpc(
-    host: str,
+    host: BindHosts,
     port: int,
     dispatch: Callable[[str, MethodCall, tuple], Awaitable[MethodResponse]],
 ):

@@ -111,8 +111,8 @@ class MasterGateway:
     """The main port: rewrites registrations, forwards the rest upstream.
 
     Like the slave gateways, it reads its settings from registry.config:
-    the upstream master, the main port, the bind host and the timeout of a
-    forwarded call. It forwards over registry.pool.
+    the upstream master, the main port and the timeout of a forwarded
+    call. It binds registry.bind_addresses and forwards over registry.pool.
     """
 
     def __init__(self, registry: Registry, slave_gateways: SlaveGatewayManager):
@@ -124,7 +124,9 @@ class MasterGateway:
 
     async def start(self) -> None:
         config = self.registry.config
-        self._server = await serve_xmlrpc(config.bind_host, config.main_port, self._dispatch)
+        self._server = await serve_xmlrpc(
+            self.registry.bind_addresses, config.main_port, self._dispatch
+        )
         log.info("master gateway listening on %s:%d, upstream %s",
                  config.bind_host or "*", config.main_port, config.upstream_master_uri)
 
@@ -164,20 +166,21 @@ class MasterGateway:
                     params[rule.service_api_index] = self.slave_gateways.advertised_rosrpc(
                         relay.port
                     )
+                name = params[rule.name_index]
+                if rule.registers:
+                    self.registry.add_registration(caller_id, rule.kind, name)
+                else:
+                    remaining = self.registry.remove_registration(caller_id, rule.kind, name)
+                    log.debug("%s %s %r: refcount now %d",
+                              caller_id, call.method_name, name, remaining)
             except UnknownNode as exc:
+                # purged while this waited for the lock
                 return MethodFault(FAULT_APP, "node vanished during handling: %s" % exc)
             except Exception as exc:  # Exhausted, BindFailed
                 log.error("cannot provision %s for %s: %s", call.method_name, caller_id, exc)
                 if record is not None:  # else a new record keeps its lease
                     await self.registry.purge_record(record, only_if_idle=True)
                 return MethodFault(FAULT_APP, "cannot provision node resources: %s" % exc)
-
-            name = params[rule.name_index]
-            if rule.registers:
-                self.registry.add_registration(caller_id, rule.kind, name)
-            else:
-                remaining = self.registry.remove_registration(caller_id, rule.kind, name)
-                log.debug("%s %s %r: refcount now %d", caller_id, call.method_name, name, remaining)
             call = MethodCall(call.method_name, params)
 
         config = self.registry.config

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from .config import ProxyConfig
-from .http11 import ConnectionPool, Dialer, close_server, forward, split_http_uri
+from .http11 import (
+    ConnectionPool, Dialer, bind_addresses, close_server, forward, split_http_uri,
+)
 from .ports import PortAllocator, PortLease, PURPOSE_SLAVE_API, PURPOSE_TCPROS
 from .relay import RelayHandle, close_relay, open_relay
 from .xmlrpc_codec import MethodCall, MethodSuccess, RosResult
@@ -81,9 +83,12 @@ class Registry:
     """The shared node map; all mutation goes through one lock.
 
     It also owns what every part of the proxy shares: the config, the port
-    allocator over config.port_range, the dialer and the pool of kept-alive
-    connections that forwarded calls take from it. The gateways read them
-    from here.
+    allocator over config.port_range, the dialer, the pool of kept-alive
+    connections that forwarded calls take from it, and bind_addresses,
+    the numeric addresses that config.bind_host resolved to when the
+    registry was built. Every port binds those, so opening a gateway or a
+    relay under the lock waits on no resolver. The gateways read them
+    from here. Raises BindFailed if the bind host does not resolve.
     """
 
     def __init__(self, config: ProxyConfig, gateway_factory: GatewayFactory, *, dial: Dialer):
@@ -92,6 +97,7 @@ class Registry:
         self.gateway_factory = gateway_factory
         self.dial = dial
         self.pool = ConnectionPool(dial)
+        self.bind_addresses = bind_addresses(config.bind_host)
         self.nodes: Dict[str, NodeRecord] = {}
         self._lock = asyncio.Lock()
         self._grace_tasks: Set[asyncio.Task] = set()
@@ -170,7 +176,7 @@ class Registry:
             )
             try:
                 handle = await open_relay(
-                    lease, self.config.bind_host, target_host, target_port, dial=self.dial
+                    lease, self.bind_addresses, target_host, target_port, dial=self.dial
                 )
             except Exception:
                 self.allocator.release(lease)
@@ -187,18 +193,19 @@ class Registry:
             await self._purge_locked(record)
 
     @_shielded
-    async def purge_record(self, record: NodeRecord, *, only_if_idle: bool = False) -> None:
+    async def purge_record(self, record: NodeRecord, *, only_if_idle: bool = False) -> bool:
         """Purge record if it is still its caller_id's: a restart may have
         replaced it while this waited for the lock. With only_if_idle, also
         only if it holds no registration and no grace timer is running for
         it: when its grace timer has fired, or when a registration failed
-        after the record was built."""
+        after the record was built. Returns whether it purged."""
         async with self._lock:
             if self.nodes.get(record.caller_id) is not record:
-                return
+                return False
             if only_if_idle and (record.refcount() or record._grace_timer is not None):
-                return
+                return False
             await self._purge_locked(record)
+            return True
 
     async def purge_all(self) -> None:
         """Purge every node, then close the pooled connections left, such
@@ -253,7 +260,8 @@ class Registry:
 
     async def ping_cycle(self) -> list:
         """One liveness pass. Returns [(caller_id, outcome)] where outcome
-        is 'ok', 'failed', or 'purged' (this ping hit the threshold)."""
+        is 'ok', 'failed', or 'purged' (this ping hit the threshold). A
+        record that was purged or replaced meanwhile is left out."""
 
         async def ping_one(record: NodeRecord):
             response = await forward(
@@ -278,7 +286,8 @@ class Registry:
                         record.caller_id, record.real_slave_uri,
                         record.ping_failures, self.config.ping_failure_threshold)
             if record.ping_failures >= self.config.ping_failure_threshold:
-                await self.purge_record(record)
+                if not await self.purge_record(record):
+                    return None  # a restart replaced it meanwhile
                 return record.caller_id, "purged"
             return record.caller_id, "failed"
 

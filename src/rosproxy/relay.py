@@ -28,7 +28,7 @@ import asyncio
 import logging
 from dataclasses import dataclass, field
 
-from .http11 import Dialer, close_server, connection_tasks, hang_up, listen
+from .http11 import BindHosts, Dialer, close_server, connection_tasks, hang_up, listen
 from .ports import PortLease
 
 log = logging.getLogger(__name__)
@@ -39,7 +39,6 @@ class RelayHandle:
     """A live relay: listener plus connection bookkeeping."""
 
     lease: PortLease
-    bind_host: str
     target_host: str
     target_port: int
     server: asyncio.AbstractServer = field(repr=False, default=None)
@@ -136,29 +135,23 @@ async def _serve_connection(
 
 async def open_relay(
     lease: PortLease,
-    bind_host: str,
+    bind_host: BindHosts,
     target_host: str,
     target_port: int,
     *,
     dial: Dialer = asyncio.open_connection,
 ) -> RelayHandle:
     """Start listening on the leased port, relaying to target_host:port."""
-    handle = RelayHandle(
-        lease=lease,
-        bind_host=bind_host,
-        target_host=target_host,
-        target_port=target_port,
-    )
-
+    handle = RelayHandle(lease=lease, target_host=target_host, target_port=target_port)
     handle.server = await listen(
         bind_host, lease.port,
         lambda reader, writer: _serve_connection(reader, writer, handle, dial),
     )
-    log.debug("relay up: %s:%d -> %s:%d", bind_host, lease.port, target_host, target_port)
+    log.debug("relay up: :%d -> %s:%d", lease.port, target_host, target_port)
     return handle
 
 
 async def close_relay(handle: RelayHandle) -> None:
     """Stop accepting and abort in-flight connections; idempotent."""
     await close_server(handle.server)
-    log.debug("relay down: %s:%d", handle.bind_host, handle.port)
+    log.debug("relay down: :%d", handle.port)

@@ -39,8 +39,8 @@ TCPROS = "TCPROS"
 class SlaveGatewayManager:
     """Starts per-node listeners and does the requestTopic rewrite.
 
-    Its settings are the registry's: listeners bind to, and forwards use
-    the timeout of, registry.config, and forwards go over registry.pool.
+    Its settings are the registry's: listeners bind registry.bind_addresses,
+    forwards use the timeout of registry.config and go over registry.pool.
     """
 
     def __init__(self, registry: Registry):
@@ -70,7 +70,7 @@ class SlaveGatewayManager:
             return await self.handle_slave_call(live, call)
 
         return await serve_xmlrpc(
-            self.registry.config.bind_host, record.gateway_lease.port, dispatch
+            self.registry.bind_addresses, record.gateway_lease.port, dispatch
         )
 
     async def handle_slave_call(self, record: NodeRecord, call: MethodCall) -> MethodResponse:

@@ -36,7 +36,6 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Union
-from xml.sax.saxutils import escape as _xml_escape
 
 # Hard ceilings protecting a long-lived proxy from malformed peers.
 MAX_DEPTH = 32
@@ -122,10 +121,15 @@ class RosResult:
 # encoding
 
 def _escape_text(text: str) -> str:
-    # CR must go out as a charref: a literal CR would be normalized to LF
-    # on the way back in, breaking round-trips.
+    # & first, so the entities added after it stay as they are. CR must go
+    # out as a charref: a literal CR would be normalized to LF on the way
+    # back in, breaking round-trips. (Not xml.sax.saxutils.escape: importing
+    # it loads urllib.request, http.client and email.)
     if "&" in text or "<" in text or ">" in text or "\r" in text:
-        return _xml_escape(text).replace("\r", "&#13;")
+        return (
+            text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace("\r", "&#13;")
+        )
     return text
 
 

@@ -1,8 +1,9 @@
 """Shared test utilities: strict value comparison, random value generation,
-free-port discovery, proxy configs, connect polling and finding the
-Pythons that start."""
+free-port discovery, proxy configs, connect polling, registry lock
+waiters, counting executor jobs and finding the Pythons that start."""
 
 import asyncio
+import concurrent.futures
 import glob
 import os
 import random
@@ -215,3 +216,21 @@ def interpreter(name):
         if exe and subprocess.run([exe, "-c", "pass"], capture_output=True, timeout=30).returncode == 0:
             return exe
     return None
+
+
+def lock_waiters(registry):
+    """How many tasks wait for the registry lock."""
+    return len(registry._lock._waiters or ())
+
+
+class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
+    """A default executor that counts the jobs submitted to it, such as
+    the getaddrinfo asyncio runs for a host it cannot read as an address."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.jobs = 0
+
+    def submit(self, *args, **kwargs):
+        self.jobs += 1
+        return super().submit(*args, **kwargs)

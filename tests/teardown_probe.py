@@ -8,7 +8,9 @@ so the proxy also holds idle pooled connections to both. Then it
 restarts the node's caller_id with a new URI, purges the node, and stops
 the app, timing each step. It reports the pooled connections at the
 start of teardown and after stop, and the leases, tasks and file
-descriptors left behind.
+descriptors left behind. The proxy binds every interface (bind host
+""), and after it has started no listener may submit a job (a
+getaddrinfo) to the loop's default executor.
 
 Run as a script (``PYTHONPATH=src python tests/teardown_probe.py``), it
 prints the report as JSON and exits 1 if any check failed, so any
@@ -26,7 +28,7 @@ from rosproxy.harness.rpc import RosClient
 from rosproxy.http11 import serve_xmlrpc
 from rosproxy.xmlrpc_codec import MethodCall, MethodSuccess, encode_call
 
-from helpers import free_port, make_config
+from helpers import CountingExecutor, free_port, make_config
 
 STEP_LIMIT_S = 0.5  # each teardown step must finish within this
 STUCK_S = 3.0  # a step still running after this is reported as stuck
@@ -118,14 +120,17 @@ async def timed(step) -> float:
 
 
 async def probe() -> dict:
+    executor = CountingExecutor()
+    asyncio.get_running_loop().set_default_executor(executor)
     fds_before = open_fds()
     live_targets = set()
     servers, upstream_port, node_port = await start_stubs(live_targets)
     config = make_config(
-        "http://%s:%d/" % (HOST, upstream_port), range_size=6, bind_host=HOST, advertised_host=HOST
+        "http://%s:%d/" % (HOST, upstream_port), range_size=6, bind_host="", advertised_host=HOST
     ).validate()
     app = ProxyApp(config)
     await app.start()
+    jobs_at_start = executor.jobs
     master = RosClient("http://%s:%d/" % (HOST, config.main_port), timeout=2.0)
 
     async def register(node_uri):
@@ -167,6 +172,7 @@ async def probe() -> dict:
     report["purge_s"] = await timed(app.registry.purge_node(CALLER_ID))
     report["stop_s"] = await timed(app.stop())
     report["pooled_after_stop"] = app.registry.pool.idle_count()
+    report["executor_jobs_after_start"] = executor.jobs - jobs_at_start
     report["leases"] = [repr(lease) for lease in app.registry.allocator.live_leases()]
     # the relay aborted the connections it dialed, so the target saw them end
     await settle(lambda: not live_targets)
@@ -184,6 +190,7 @@ async def probe() -> dict:
         all(report[k] < STEP_LIMIT_S for k in ("restart_s", "purge_s", "stop_s"))
         and report["pooled_at_start"] > 0
         and report["pooled_after_stop"] == 0
+        and report["executor_jobs_after_start"] == 0
         and not report["leases"]
         and not report["target_connections"]
         and not report["pending_tasks"]

@@ -3,9 +3,12 @@
 import ast
 import asyncio
 import dataclasses
+import logging
 import os
 import signal
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +21,7 @@ from rosproxy.ports import PortRange
 from rosproxy.registry import KIND_PUB
 from rosproxy.xmlrpc_codec import MethodSuccess
 
-from helpers import free_port, make_config, poll_until
+from helpers import CountingExecutor, free_port, make_config, poll_until
 
 
 def test_env_parsing_and_defaults():
@@ -311,6 +314,69 @@ async def test_app_occupied_main_port_is_fatal_exit():
         squatter.close()
         await squatter.wait_closed()
         await close_server(upstream)
+
+
+@pytest.mark.parametrize("cause", ["unbindable", "unresolvable"])
+async def test_app_bad_bind_host_is_fatal_exit(cause, caplog, monkeypatch):
+    """A bind host that cannot be bound (192.0.2.1 is on no interface
+    here) or looked up ends run with a logged error and no traceback."""
+    upstream, uri = await start_upstream()
+    cfg = dataclasses.replace(make_config(uri).validate(), bind_host="192.0.2.1")
+    if cause == "unresolvable":
+        def no_such_host(*args, **kwargs):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        cfg = dataclasses.replace(cfg, bind_host="no-such-host.invalid")
+        monkeypatch.setattr(socket, "getaddrinfo", no_such_host)
+    try:
+        assert await run(cfg) == EXIT_FATAL
+    finally:
+        monkeypatch.undo()
+        await close_server(upstream)
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert [r.getMessage().split(":")[0] for r in errors] == ["startup failed"]
+    assert all(r.exc_info is None for r in caplog.records)
+
+
+async def test_listeners_bind_the_addresses_resolved_at_start():
+    """With the bind host "" (every interface) a new node, a relay and a
+    restart open their listeners without a getaddrinfo job in the loop's
+    executor, and bind the families of the passive lookup."""
+    executor = CountingExecutor()
+    asyncio.get_running_loop().set_default_executor(executor)
+    upstream, uri = await start_upstream()
+    app = ProxyApp(make_config(uri, bind_host="").validate())
+    await app.start()
+    try:
+        before = executor.jobs
+        record = await app.registry.ensure_node("/talker", "http://127.0.0.1:1/")
+        relay = await app.registry.lease_relay("/talker", "127.0.0.1", 1)
+        bound = [sorted(s.family for s in server.sockets)
+                 for server in (record.gateway_server, relay.server)]
+        await app.registry.ensure_node("/talker", "http://127.0.0.1:2/")
+        assert executor.jobs - before == 0
+        passive = socket.getaddrinfo(None, 0, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE)
+        assert bound == [sorted({info[0] for info in passive})] * 2
+    finally:
+        await app.stop()
+        await close_server(upstream)
+
+
+def test_import_loads_no_url_or_mail_package():
+    """Importing the proxy pulls in none of urllib.request, http.client or
+    email (xml.sax.saxutils would bring all three)."""
+    code = (
+        "import sys; before = set(sys.modules); import rosproxy.cli, rosproxy.app; "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.split('.')[0] == 'email' or m in ('urllib.request', 'http.client')))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 async def test_run_exits_cleanly_on_sigterm():

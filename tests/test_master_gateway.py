@@ -2,6 +2,7 @@
 fidelity for everything else, refcount side effects, and fault paths."""
 
 import asyncio
+import logging
 
 import pytest
 
@@ -18,7 +19,15 @@ from rosproxy.xmlrpc_codec import (
     MethodSuccess,
 )
 
-from helpers import free_port, make_config, make_rng, poll_refused, random_rpc_value
+from helpers import (
+    free_port,
+    lock_waiters,
+    make_config,
+    make_rng,
+    poll_refused,
+    poll_until,
+    random_rpc_value,
+)
 
 ADV = "127.0.0.1"  # advertised host for these tests
 
@@ -220,6 +229,37 @@ async def test_register_service_without_relay_port_purges_only_a_new_node():
     finally:
         await close_server(upstream)
         await registry.purge_all()
+
+
+async def test_registration_for_a_node_purged_meanwhile_gets_the_vanished_fault(caplog):
+    """A registration that waits for the registry lock, with a purge of its
+    node queued behind it, finds the node gone when it resumes: the node
+    gets the "node vanished" fault, and nothing logs an error."""
+    upstream, uri, calls = await start_upstream_stub()
+    app = ProxyApp(make_config(uri, advertised_host=ADV))
+    registry = app.registry
+    node_uri = "http://10.0.2.3:43231/"
+    await app.start()
+    try:
+        await registry.ensure_node("/talker", node_uri)
+        client = RosClient("http://127.0.0.1:%d/" % app.config.main_port, timeout=2.0)
+        await registry._lock.acquire()
+        register = asyncio.ensure_future(client.call(
+            "registerPublisher", ["/talker", "/chat", "std_msgs/String", node_uri]
+        ))
+        await poll_until(lambda: lock_waiters(registry) == 1, timeout=2.0)
+        purge = asyncio.ensure_future(registry.purge_node("/talker"))
+        await poll_until(lambda: lock_waiters(registry) == 2, timeout=2.0)
+        registry._lock.release()
+        assert await register == MethodFault(
+            FAULT_APP, "node vanished during handling: /talker"
+        )
+        await purge
+        assert calls == []
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+    finally:
+        await app.stop()
+        await close_server(upstream)
 
 
 BAD_SIGNATURES = (

@@ -17,7 +17,7 @@ from rosproxy.registry import (
 )
 from rosproxy.xmlrpc_codec import MethodFault, MethodSuccess
 
-from helpers import free_port, make_config, make_rng, poll_refused, poll_until
+from helpers import free_port, lock_waiters, make_config, make_rng, poll_refused, poll_until
 
 
 async def stub_gateway(record: NodeRecord):
@@ -271,10 +271,6 @@ async def test_ping_loop_purges_dead_node_within_budget():
 # a known order.
 
 
-def lock_waiters(registry):
-    return len(registry._lock._waiters or ())
-
-
 async def test_stale_ping_purge_spares_the_restarted_record():
     registry, allocator = make_registry(ping_failure_threshold=1)
     await registry.ensure_node("/n", "http://127.0.0.1:%d/" % free_port())  # refuses
@@ -286,7 +282,7 @@ async def test_stale_ping_purge_spares_the_restarted_record():
     await poll_until(lambda: lock_waiters(registry) == 2, timeout=2.0)
     registry._lock.release()
     fresh = await restart
-    await ping
+    assert await ping == []  # the stale ping purged nothing
     assert registry.nodes.get("/n") is fresh
     assert fresh.real_slave_uri == new_uri
     assert registry.add_registration("/n", KIND_PUB, "/chat") == 1

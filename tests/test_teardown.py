@@ -22,6 +22,7 @@ async def test_teardown_with_idle_and_slow_peers():
         assert report[step] < teardown_probe.STEP_LIMIT_S, report
     assert report["pooled_at_start"] > 0
     assert report["pooled_after_stop"] == 0
+    assert report["executor_jobs_after_start"] == 0
     assert report["leases"] == []
     assert report["target_connections"] == 0
     assert report["pending_tasks"] == []
