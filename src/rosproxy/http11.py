@@ -10,6 +10,18 @@ Content-Length; clients read a response without one to EOF. Neither
 side takes a body over MAX_MESSAGE_BYTES.
 Chunked transfer is out of scope for ROS peers.
 
+Each head, request or response, is read with one readuntil up to its
+blank line, so its lines must end in CRLF (RFC 9112 section 2.2); a
+head of bare-LF lines is never seen to end. A head longer than the
+stream's limit (64 KiB) or with more than MAX_HEADER_COUNT header lines
+drops the connection.
+
+A client call has one deadline for its whole round trip. Only a fresh
+dial is awaited under asyncio.wait_for; an idle pooled connection is
+taken without awaiting. From there a timer aborts the connection at the
+deadline, and the call fails as a timeout whatever its read returned.
+A call over a pooled connection makes no task.
+
 Every listener is built by listen and closed by close_server: closing a
 port aborts its connections instead of waiting on their peers. The proxy
 looks its bind host up once (bind_addresses) and hands every listen the
@@ -19,6 +31,7 @@ numeric addresses, which asyncio binds without a resolver thread.
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 import socket
 import weakref
@@ -41,7 +54,6 @@ from .xmlrpc_codec import (
 
 log = logging.getLogger(__name__)
 
-MAX_HEADER_BYTES = 16 * 1024
 MAX_HEADER_COUNT = 100
 IDLE_PER_TARGET = 4  # idle kept-alive client connections kept per (host, port)
 IDLE_TOTAL = 64  # ... and over all targets
@@ -124,6 +136,7 @@ class RpcTransportError(Exception):
     """The HTTP round trip itself failed (connect, timeout, bad status)."""
 
 
+@functools.lru_cache(maxsize=1024)  # each forward resolves its node's or the master's URI
 def split_http_uri(uri: str) -> tuple:
     """Return (host, port, path) of an http URI; raise ValueError otherwise."""
     parts = urlsplit(uri)
@@ -140,27 +153,21 @@ def split_rosrpc_uri(uri: str) -> tuple:
     return parts.hostname, parts.port
 
 
-async def _read_line(reader, limit=MAX_HEADER_BYTES) -> bytes:
-    line = await reader.readline()
-    if len(line) > limit:
-        raise ValueError("header line too long")
-    return line
-
-
-async def _read_headers(reader) -> dict:
+async def _read_head(reader) -> tuple:
+    """Read an HTTP head through its blank line; return its start line and
+    its headers, names lowercased. Raises IncompleteReadError at EOF,
+    LimitOverrunError past the reader's limit and ValueError on a
+    malformed head."""
+    lines = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1").split("\r\n")[:-2]
+    if len(lines) > MAX_HEADER_COUNT + 1:
+        raise ValueError("too many headers")
     headers = {}
-    while True:
-        line = await _read_line(reader)
-        if line in (b"\r\n", b"\n"):
-            return headers
-        if not line:
-            raise ConnectionResetError("peer closed mid-headers")
-        if len(headers) >= MAX_HEADER_COUNT:
-            raise ValueError("too many headers")
-        name, sep, value = line.partition(b":")
+    for line in lines[1:]:
+        name, sep, value = line.partition(":")
         if not sep:
             raise ValueError("malformed header line")
-        headers[name.strip().lower().decode("latin-1")] = value.strip().decode("latin-1")
+        headers[name.strip().lower()] = value.strip()
+    return lines[0], headers
 
 
 def _http_response(status: int, body: bytes, keep_alive: bool) -> bytes:
@@ -192,15 +199,12 @@ async def serve_http(
         peer = writer.get_extra_info("peername") or ("?", 0)
         try:
             while True:
-                request = await _read_line(reader)
-                if not request:
-                    break  # clean EOF between requests
+                request, headers = await _read_head(reader)
                 try:
-                    method, path, version = request.decode("latin-1").split()
+                    method, path, version = request.split()
                 except ValueError:
                     writer.write(_http_response(400, b"", False))
                     break
-                headers = await _read_headers(reader)
                 keep_alive = (
                     version.upper() != "HTTP/1.0"
                     and headers.get("connection", "").lower() != "close"
@@ -229,8 +233,9 @@ async def serve_http(
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (asyncio.IncompleteReadError, ConnectionError, ValueError, TimeoutError):
-            pass  # broken peer; drop the connection, keep serving others
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError, ConnectionError,
+                ValueError, TimeoutError):
+            pass  # EOF or a broken peer; drop the connection, keep serving others
         await hang_up(writer)
 
     return await listen(host, port, on_connection)
@@ -297,8 +302,8 @@ class ConnectionPool:
     def idle_count(self) -> int:
         return sum(map(len, self._idle.values()))
 
-    async def connect(self, host: str, port: int) -> tuple:
-        """An idle connection to host:port that is still reusable, else a new one."""
+    def take(self, host: str, port: int) -> Optional[tuple]:
+        """An idle connection to host:port that is still reusable, or None."""
         stack = self._idle.get((host, port), [])
         while stack:
             reader, writer = stack.pop()
@@ -307,7 +312,7 @@ class ConnectionPool:
             if _reusable(reader, writer):
                 return reader, writer
             writer.transport.abort()
-        return await self.dial(host, port)
+        return None
 
     def put(self, host: str, port: int, reader, writer) -> None:
         stack = self._idle.pop((host, port), [])
@@ -324,6 +329,12 @@ class ConnectionPool:
         writer.transport.abort()
         if not stack:
             del self._idle[target]
+
+    def drop(self, host: str, port: int) -> None:
+        """Abort the idle connections to host:port without waiting; with
+        nothing unread on them, their peer still gets a FIN."""
+        for _, writer in self._idle.pop((host, port), ()):
+            writer.transport.abort()
 
     async def close(self, host: Optional[str] = None, port: Optional[int] = None) -> None:
         """Close the idle connections to host:port, or all of them."""
@@ -346,11 +357,23 @@ async def http_post(
     With a pool, the connection comes from it, and goes back to it only
     after a complete HTTP/1.1 answer with a Content-Length, no
     Connection: close and no bytes after it; every other connection is
-    closed. Raises RpcTransportError on connect/timeout/non-200 failures.
+    closed. The whole round trip has one deadline, timeout seconds away.
+    Raises RpcTransportError on connect/timeout/non-200 failures.
     """
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    expired = False
 
-    async def roundtrip():
-        reader, writer = await (pool.connect(host, port) if pool else dial(host, port))
+    def expire():
+        nonlocal expired
+        expired = True
+        writer.transport.abort()  # a pending read then ends, raising or short
+
+    try:
+        reader, writer = (pool and pool.take(host, port)) or await asyncio.wait_for(
+            (pool.dial if pool else dial)(host, port), timeout
+        )
+        timer = loop.call_at(deadline, expire)
         reusable = False
         try:
             head = (
@@ -362,16 +385,16 @@ async def http_post(
             )
             writer.write(head.encode("latin-1") + body)
             await writer.drain()
-            status_line = await _read_line(reader)
-            parts = status_line.decode("latin-1").split(None, 2)
+            status_line, headers = await _read_head(reader)
+            parts = status_line.split(None, 2)
             if len(parts) < 2 or not parts[1].isdigit():
                 raise RpcTransportError("bad HTTP status line %r" % status_line)
-            status = int(parts[1])
-            headers = await _read_headers(reader)
             length_text = headers.get("content-length")
             payload = await _read_body(reader, length_text, MAX_MESSAGE_BYTES)
-            if status != 200:
-                raise RpcTransportError("HTTP status %d" % status)
+            if expired:
+                raise asyncio.TimeoutError()  # the abort cut a read to EOF short
+            if parts[1] != "200":
+                raise RpcTransportError("HTTP status %s" % parts[1])
             reusable = (
                 pool is not None
                 and parts[0] == "HTTP/1.1"
@@ -381,21 +404,20 @@ async def http_post(
             )
             return payload
         except asyncio.CancelledError:
-            writer.transport.abort()  # timed out or the caller went away
+            writer.transport.abort()  # the caller went away
             raise
         finally:
+            timer.cancel()
             if reusable:
                 pool.put(host, port, reader, writer)
             else:
                 await hang_up(writer)
-
-    try:
-        return await asyncio.wait_for(roundtrip(), timeout)
-    except RpcTransportError:
-        raise
-    except asyncio.TimeoutError as exc:
-        raise RpcTransportError("timeout after %.1fs posting to %s:%d" % (timeout, host, port)) from exc
-    except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError) as exc:
+    except (RpcTransportError, ConnectionError, OSError, asyncio.TimeoutError,
+            asyncio.IncompleteReadError, asyncio.LimitOverrunError, ValueError) as exc:
+        if expired or isinstance(exc, asyncio.TimeoutError):
+            raise RpcTransportError("timeout after %.1fs posting to %s:%d" % (timeout, host, port)) from exc
+        if isinstance(exc, RpcTransportError):
+            raise
         raise RpcTransportError("POST to %s:%d failed: %s" % (host, port, exc)) from exc
 
 

@@ -229,7 +229,7 @@ class Registry:
             await close_relay(handle)
             self.allocator.release(handle.lease)
         record.tcpros_relays.clear()
-        await self.pool.close(*split_http_uri(record.real_slave_uri)[:2])
+        self.pool.drop(*split_http_uri(record.real_slave_uri)[:2])
         self.allocator.release(record.gateway_lease)
         self.nodes.pop(record.caller_id, None)
         log.info("node %s purged (gateway port %d released)",

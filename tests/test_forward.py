@@ -98,3 +98,32 @@ async def test_purge_closes_the_nodes_pooled_connections():
         for peer in peers.values():
             await peer.stop()
     assert allocator.live_leases() == []
+
+
+async def test_restart_purge_awaits_no_pooled_close_under_the_lock():
+    """A restart purges the node's old record under the registry lock. Its
+    idle pooled connection is aborted there: its wait_closed, awaited
+    with the lock held, would stall every registry change behind it."""
+    pid = encode_response(MethodSuccess([1, "", 4242]))
+    peer = await KeepAlivePeer(lambda body: pid).start()
+    gateway, registry, manager, allocator = build_gateway("")
+    waits_under_lock = []
+    try:
+        record = await registry.ensure_node("/a", "http://127.0.0.1:%d/" % peer.port)
+        await manager.handle_slave_call(record, MethodCall("getPid", ["/probe"]))
+        [(_, writer)] = registry.pool._idle["127.0.0.1", peer.port]
+        wait_closed = writer.wait_closed
+
+        async def recording_wait_closed():
+            waits_under_lock.append(registry._lock.locked())
+            await wait_closed()
+
+        writer.wait_closed = recording_wait_closed
+        await registry.ensure_node("/a", "http://127.0.0.1:%d/" % free_port())
+        await poll_until(lambda: peer.eofs == 1, timeout=2.0)
+        assert registry.pool.idle_count() == 0
+        assert True not in waits_under_lock
+    finally:
+        await registry.purge_all()
+        await peer.stop()
+    assert allocator.live_leases() == []

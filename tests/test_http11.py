@@ -1,8 +1,10 @@
 """HTTP/XML-RPC transport tests: server dispatch, client round trips,
-error statuses, keep-alive, the dial hook, the response size bound and
-the pool of kept-alive client connections."""
+error statuses, keep-alive, head framing, the dial hook, the response
+size bound, the round trip's deadline and the pool of kept-alive client
+connections."""
 
 import asyncio
+import logging
 import threading
 import xmlrpc.server
 
@@ -173,6 +175,44 @@ async def test_oversized_body_is_413():
         await server.wait_closed()
 
 
+@pytest.mark.parametrize("head", ["bytewise", "over-limit", "bare-lf"])
+async def test_request_head_framing(head, caplog):
+    """A head is read through its CRLF CRLF however it arrives. One past
+    the stream's 64 KiB limit is dropped unanswered, with no traceback
+    logged (a line-by-line reader bounding each line answered these 100
+    short lines with a 411). Heads must use CRLF: a head of bare-LF lines
+    never ends, so it is dropped unanswered at EOF, not served."""
+    port = free_port()
+    server = await serve_xmlrpc("127.0.0.1", port, echo_dispatch)
+    body = encode_call(MethodCall("ping", [1]))
+    try:
+        if head == "bytewise":
+            req = b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(body)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            for byte in req:
+                writer.write(bytes([byte]))
+                await writer.drain()
+            writer.write(body)
+            writer.write_eof()
+            data = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            assert data.startswith(b"HTTP/1.1 200 ") and b"ping" in data
+            return
+        if head == "over-limit":
+            filler = b"".join(b"X-Pad-%d: %s\r\n" % (n, b"p" * 700) for n in range(100))
+            req = b"POST / HTTP/1.1\r\n" + filler + b"\r\n"
+            assert len(req) > 64 * 1024
+        else:
+            req = b"POST / HTTP/1.1\nHost: x\nContent-Length: %d\n\n%s" % (len(body), body)
+        with caplog.at_level(logging.DEBUG):
+            assert await _raw_request(port, req) == b""
+        assert not [r for r in caplog.records if r.exc_info or r.levelno >= logging.ERROR]
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
 async def test_keep_alive_serves_two_calls_on_one_connection():
     port = free_port()
     server = await serve_xmlrpc("127.0.0.1", port, echo_dispatch)
@@ -234,6 +274,61 @@ async def test_timeout_is_transport_error():
         with pytest.raises(RpcTransportError) as err:
             await http_post("127.0.0.1", port, "/", b"x", timeout=0.3)
         assert "timeout" in str(err.value)
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
+async def start_peer(answer):
+    """A server that reads one request head, then runs answer(writer)."""
+
+    async def on_conn(reader, writer):
+        try:
+            await reader.readuntil(b"\r\n\r\n")
+            await answer(writer)
+            await reader.read()  # until the client hangs up
+        except (ConnectionError, OSError):
+            pass
+        writer.close()
+
+    server = await asyncio.start_server(on_conn, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+async def trickle_head(writer):
+    for byte in b"HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 2\r\n\r\nok":
+        writer.write(bytes([byte]))
+        await writer.drain()
+        await asyncio.sleep(0.05)
+
+
+async def no_length_never_closed(writer):
+    writer.write(b"HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\n\r\n<partial")
+
+
+async def too_many_header_lines(writer):
+    lines = b"".join(b"X-Line-%d: v\r\n" % n for n in range(http11.MAX_HEADER_COUNT + 1))
+    writer.write(b"HTTP/1.1 200 OK\r\n" + lines + b"Content-Length: 0\r\n\r\n")
+
+
+@pytest.mark.parametrize("answer, error", [
+    (trickle_head, "timeout"),
+    (no_length_never_closed, "timeout"),
+    (too_many_header_lines, "too many headers"),
+])
+async def test_broken_answer_is_transport_error(answer, error):
+    """The deadline aborts a head still arriving, and a body read to an
+    EOF that never comes; the short read the abort leaves is a timeout,
+    not an answer. A round trip run under asyncio.wait_for times out the
+    same calls; this keeps the timer that replaced it from missing one.
+    101 header lines are one past MAX_HEADER_COUNT."""
+    server, port = await start_peer(answer)
+    try:
+        start = asyncio.get_running_loop().time()
+        with pytest.raises(RpcTransportError) as err:
+            await http_post("127.0.0.1", port, "/", b"x", timeout=0.3)
+        assert error in str(err.value)
+        assert asyncio.get_running_loop().time() - start < 1.0
     finally:
         server.close()
         await server.wait_closed()
@@ -315,6 +410,34 @@ async def test_pool_reuses_a_kept_alive_connection():
         assert pool.idle_count() == 1
         assert not any(b"connection: close" in head.lower() for head in peer.heads)
     finally:
+        await pool.close()
+        await peer.stop()
+
+
+async def test_warm_pooled_calls_make_no_task():
+    """A call over an idle pooled connection awaits its round trip in the
+    caller's task. A round trip under asyncio.wait_for makes one task per
+    call on Python 3.10 and 3.11 (20 here), none on 3.12 and later."""
+    peer = await KeepAlivePeer().start()
+    pool, dials = recording_pool()
+    loop = asyncio.get_running_loop()
+    made = []
+
+    def counting_factory(loop, coro, **kwargs):
+        made.append(coro)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    try:
+        assert await http_post("127.0.0.1", peer.port, "/", b"warm-up", pool=pool) == b"warm-up"
+        loop.set_task_factory(counting_factory)
+        for n in range(20):
+            body = b"call %d" % n
+            assert await http_post("127.0.0.1", peer.port, "/", body, pool=pool) == body
+        loop.set_task_factory(None)
+        assert made == []
+        assert dials == [("127.0.0.1", peer.port)]
+    finally:
+        loop.set_task_factory(None)
         await pool.close()
         await peer.stop()
 
