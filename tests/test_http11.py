@@ -289,7 +289,8 @@ async def start_peer(answer):
             await reader.read()  # until the client hangs up
         except (ConnectionError, OSError):
             pass
-        writer.close()
+        finally:
+            writer.close()
 
     server = await asyncio.start_server(on_conn, "127.0.0.1", 0)
     return server, server.sockets[0].getsockname()[1]
@@ -433,7 +434,6 @@ async def test_warm_pooled_calls_make_no_task():
         for n in range(20):
             body = b"call %d" % n
             assert await http_post("127.0.0.1", peer.port, "/", body, pool=pool) == body
-        loop.set_task_factory(None)
         assert made == []
         assert dials == [("127.0.0.1", peer.port)]
     finally:
