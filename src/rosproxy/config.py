@@ -12,6 +12,7 @@ so a bad deployment dies with a message that says which knob to fix.
 from __future__ import annotations
 
 import argparse
+import math
 from dataclasses import dataclass, field, make_dataclass
 from typing import Callable, List, Mapping, Optional
 
@@ -44,9 +45,12 @@ def _parse_int(text: str, key: str) -> int:
 
 def _parse_float(text: str, key: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError("%s: expected a number, got %r" % (key, text))
+    if not math.isfinite(value):  # a nan or inf deadline fires at once
+        raise ConfigError("%s: expected a finite number, got %r" % (key, text))
+    return value
 
 
 def _parse_text(text: str, key: str) -> str:

@@ -16,6 +16,12 @@ head of bare-LF lines is never seen to end. A head longer than the
 stream's limit (64 KiB) or with more than MAX_HEADER_COUNT header lines
 drops the connection.
 
+A served connection that holds part of a request at two checks
+REQUEST_DEADLINE seconds apart, with no request answered between them,
+is aborted: a request that has begun to arrive has one to two deadlines
+to finish. One timer per connection makes the checks. An idle
+kept-alive connection holds nothing, so it stays open.
+
 A client call has one deadline for its whole round trip. Only a fresh
 dial is awaited under asyncio.wait_for; an idle pooled connection is
 taken without awaiting. From there a timer aborts the connection at the
@@ -55,6 +61,7 @@ from .xmlrpc_codec import (
 log = logging.getLogger(__name__)
 
 MAX_HEADER_COUNT = 100
+REQUEST_DEADLINE = 10.0  # seconds a served connection may hold part of a request
 IDLE_PER_TARGET = 4  # idle kept-alive client connections kept per (host, port)
 IDLE_TOTAL = 64  # ... and over all targets
 
@@ -197,6 +204,19 @@ async def serve_http(
 
     async def on_connection(reader, writer):
         peer = writer.get_extra_info("peername") or ("?", 0)
+        loop = asyncio.get_running_loop()
+        answered = 0
+        mark = None  # answered at the last check, if bytes were waiting then
+
+        def check():
+            nonlocal mark, timer
+            if reader._buffer and mark == answered:
+                writer.transport.abort()  # the pending read ends at EOF
+                return
+            mark = answered if reader._buffer else None
+            timer = loop.call_later(REQUEST_DEADLINE, check)
+
+        timer = loop.call_later(REQUEST_DEADLINE, check)
         try:
             while True:
                 request, headers = await _read_head(reader)
@@ -210,32 +230,32 @@ async def serve_http(
                     and headers.get("connection", "").lower() != "close"
                 )
                 if method.upper() != "POST":
-                    writer.write(_http_response(405, b"", keep_alive))
-                    await writer.drain()
-                    if keep_alive:
-                        continue
-                    break
-                length_text = headers.get("content-length")
-                if length_text is None or not length_text.isdigit():
-                    writer.write(_http_response(411, b"", False))
-                    break
-                length = int(length_text)
-                if length > MAX_MESSAGE_BYTES:
-                    writer.write(_http_response(413, b"", False))
-                    break
-                body = await reader.readexactly(length) if length else b""
-                try:
-                    status, payload = await handler(path, body, peer)
-                except Exception:
-                    log.exception("unhandled error in HTTP handler for %s", path)
-                    status, payload = 500, b""
+                    status, payload = 405, b""
+                else:
+                    length_text = headers.get("content-length")
+                    if length_text is None or not length_text.isdigit():
+                        writer.write(_http_response(411, b"", False))
+                        break
+                    length = int(length_text)
+                    if length > MAX_MESSAGE_BYTES:
+                        writer.write(_http_response(413, b"", False))
+                        break
+                    body = await reader.readexactly(length) if length else b""
+                    try:
+                        status, payload = await handler(path, body, peer)
+                    except Exception:
+                        log.exception("unhandled error in HTTP handler for %s", path)
+                        status, payload = 500, b""
                 writer.write(_http_response(status, payload, keep_alive))
+                answered += 1
                 await writer.drain()
                 if not keep_alive:
                     break
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError, ConnectionError,
                 ValueError, TimeoutError):
             pass  # EOF or a broken peer; drop the connection, keep serving others
+        finally:
+            timer.cancel()
         await hang_up(writer)
 
     return await listen(host, port, on_connection)
@@ -464,6 +484,10 @@ async def forward(
     target: str,
 ) -> MethodResponse:
     """Relay call to uri over a connection from pool and return its answer.
+
+    The answer keeps the body it was parsed from, so serve_xmlrpc sends
+    it back as those bytes unless the caller returns a new answer. The
+    call itself is encoded anew.
 
     This is the one place a failed round trip (refused, timeout, non-200,
     unparseable body) becomes a FAULT_TRANSPORT fault; target names the

@@ -8,9 +8,10 @@ registration refcounts, and only then forwards upstream. Everything
 else is forwarded unrewritten, both ways: subscriber lists, parameter
 traffic, lookups. Nodes connect *outward* to addresses in responses on
 their own, so responses never need rewriting. Every call and answer is
-still decoded and re-encoded on its way through (http11.forward), so
-values and types survive but the exact bytes may not: whitespace and
-type tags such as <i4> versus <int> can change.
+still decoded on its way through (http11.forward). A call is encoded
+anew, so its whitespace and type tags (<i4> versus <int>) can change;
+an answer goes back as the bytes it arrived in. An answer the codec
+cannot read (<i8>, <nil/>) becomes a transport fault.
 
 The same listener also serves /node/<percent-encoded caller_id> as a
 diagnostic alias onto each node's gateway, which is handy when only the

@@ -6,8 +6,9 @@ requestTopic, whose successful answer names the node's TCPROS socket —
 an address external peers cannot reach. For those we lease (or reuse) a
 relay and hand out the advertised host and relay port instead. All
 other methods, and any non-TCPROS protocol tuple, pass through
-unrewritten — though, like every call through http11.forward, decoded
-and re-encoded, so values survive but the exact bytes may not.
+unrewritten: decoded, like every answer through http11.forward, and
+sent back as the bytes the node answered with. A rewritten answer is a
+new MethodSuccess, so none of the node's bytes go out with it.
 
 A dedicated listener per node (rather than one shared server with
 per-node paths) is what makes a purged node's port *refuse TCP

@@ -19,13 +19,16 @@ round-trip stable:
 Everything here is pure functions over byte buffers: no shared state, safe
 from any number of concurrent handlers.
 
-The proxy decodes and re-encodes every call it relays, so the per-value
-path is kept short. ``ET.fromstring`` builds the tree and is the
-well-formedness check; it is the floor, and most of the cost of decoding a
-400-topic ``getSystemState`` answer. The walk over its tree indexes
-children instead of copying them into lists and tests ``string`` and
-``array`` first; the encoder tests ``str`` and then ``list``/``tuple``
-first, and text with nothing to escape is emitted as it is.
+The proxy decodes every call and answer it relays and re-encodes every
+call, so the per-value path is kept short. An answer keeps the body it
+was parsed from (raw), and encode_response sends an unchanged answer
+back as those bytes instead of encoding it again. ``ET.fromstring``
+builds the tree and is the well-formedness check; it is the floor, and
+most of the cost of decoding a 400-topic ``getSystemState`` answer. The
+walk over its tree indexes children instead of copying them into lists
+and tests ``string`` and ``array`` first; the encoder tests ``str`` and
+then ``list``/``tuple`` first, and text with nothing to escape is
+emitted as it is.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import base64
 import math
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 # Hard ceilings protecting a long-lived proxy from malformed peers.
 MAX_DEPTH = 32
@@ -80,15 +83,20 @@ class MethodCall:
     params: list
 
 
+# raw: the body parse_response read an answer from, which encode_response
+# sends back as it is. It takes no part in == or repr. An answer that
+# changes is a new MethodSuccess or MethodFault, never a replace() of one.
 @dataclass
 class MethodSuccess:
     value: RpcValue
+    raw: Optional[bytes] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class MethodFault:
     code: int
     message: str
+    raw: Optional[bytes] = field(default=None, compare=False, repr=False)
 
 
 MethodResponse = Union[MethodSuccess, MethodFault]
@@ -200,6 +208,8 @@ def encode_call(call: MethodCall) -> bytes:
 
 
 def encode_response(resp: MethodResponse) -> bytes:
+    if getattr(resp, "raw", None) is not None:
+        return resp.raw
     out = ['<?xml version="1.0"?>', "<methodResponse>"]
     if isinstance(resp, MethodSuccess):
         out.append("<params><param>")
@@ -358,7 +368,7 @@ def parse_response(body: bytes) -> MethodResponse:
         params = _decode_params(child)
         if len(params) != 1:
             raise MalformedXml("response must carry exactly one value, got %d" % len(params))
-        return MethodSuccess(params[0])
+        return MethodSuccess(params[0], body)
     if child.tag == "fault":
         if len(child) != 1 or child[0].tag != "value":
             raise MalformedXml("<fault> must contain exactly one <value>")
@@ -371,5 +381,5 @@ def parse_response(body: bytes) -> MethodResponse:
             raise MalformedXml("faultCode missing or not an integer")
         if not isinstance(message, str):
             raise MalformedXml("faultString missing or not a string")
-        return MethodFault(code, message)
+        return MethodFault(code, message, body)
     raise MalformedXml("unexpected <%s> in methodResponse" % child.tag)

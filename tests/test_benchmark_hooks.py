@@ -38,16 +38,18 @@ async def main():
     app = ProxyApp(make_config(master.uri("127.0.0.1")), dial=tracer.dial)
     await app.start()
     client = await HttpConnection("127.0.0.1", app.config.main_port).open()
-    answers = [decode_response(await client.post(encode_call(method, ["/probe"] + args)))
-               for method, args in [("getSystemState", []),
-                                    ("lookupNode", [stub.node_names[0]]),
-                                    ("lookupNode", [stub.node_names[1]])]]
+    bodies = [await client.post(encode_call(method, ["/probe"] + args))
+              for method, args in [("getSystemState", []),
+                                   ("lookupNode", [stub.node_names[0]]),
+                                   ("lookupNode", [stub.node_names[1]])]]
+    answers = [decode_response(body) for body in bodies]
     await client.close()
     await app.stop()
     await master.close()
     trace = layers.Trace({"spans": tracer.spans, "dials": tracer.dials})
     print(json.dumps({
         "codes": [answer[0] for answer in answers],
+        "gss_verbatim": bodies[0] == stub.answers["getSystemState", ""][1],
         "missing": trace.missing("graph-query"),
         "calls": len(trace.named("http11.XmlRpcClient.call")),
         "dials": sum(trace.under(d[0], "http11.XmlRpcClient.call") for d in tracer.dials),
@@ -66,6 +68,7 @@ def test_traced_proxy_records_every_graph_query_span():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [1, 1, 1]
+    assert result["gss_verbatim"]  # the stub master's own bytes, not a re-encoding
     assert result["missing"] == []
     assert result["calls"] == 3
     assert 0 < result["dials"] < result["calls"]

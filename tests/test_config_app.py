@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from rosproxy.app import EXIT_FATAL, EXIT_OK, ProxyApp, run
+from rosproxy.app import EXIT_CONFIG, EXIT_FATAL, EXIT_OK, ProxyApp, run
 from rosproxy.config import SETTINGS, ConfigError, ProxyConfig, load_config
 from rosproxy.harness.rpc import RosClient
 from rosproxy.http11 import RpcTransportError, close_server, serve_xmlrpc
@@ -396,3 +396,30 @@ def test_cli_config_error_exit_code(monkeypatch):
     monkeypatch.delenv("ROSPROXY_MASTER_URI", raising=False)
     monkeypatch.delenv("ROSPROXY_ADVERTISED_HOST", raising=False)
     assert main([]) == 1
+
+
+FLOAT_SETTINGS = [s for s in SETTINGS if isinstance(s.parse(s.default or "", s.key), float)]
+
+
+@pytest.mark.parametrize("by", ["flag", "env"])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("setting", FLOAT_SETTINGS, ids=lambda s: s.flag)
+def test_cli_refuses_a_non_finite_number(setting, text, by, monkeypatch, capsys):
+    """A nan or infinite interval, grace or timeout is a config error
+    naming its setting: as a deadline, nan fires at once."""
+    from rosproxy import cli
+
+    async def serve_nothing(config):
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "run", serve_nothing)  # a config that loads exits 0
+    assert [s.flag for s in FLOAT_SETTINGS] == ["ping-interval", "purge-grace", "request-timeout"]
+    monkeypatch.setenv("ROSPROXY_MASTER_URI", "http://10.0.0.1:11311/")
+    monkeypatch.setenv("ROSPROXY_ADVERTISED_HOST", "hostA")
+    argv = []
+    if by == "flag":
+        argv = ["--%s=%s" % (setting.flag, text)]
+    else:
+        monkeypatch.setenv(setting.env, text)
+    assert cli.main(argv) == EXIT_CONFIG
+    assert setting.key in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """HTTP/XML-RPC transport tests: server dispatch, client round trips,
-error statuses, keep-alive, head framing, the dial hook, the response
-size bound, the round trip's deadline and the pool of kept-alive client
-connections."""
+error statuses, keep-alive, head framing, the served request's deadline,
+the dial hook, the response size bound, the round trip's deadline and
+the pool of kept-alive client connections."""
 
 import asyncio
 import logging
@@ -211,6 +211,74 @@ async def test_request_head_framing(head, caplog):
     finally:
         server.close()
         await server.wait_closed()
+
+
+async def _read_answer(reader) -> bytes:
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+    return head + await reader.readexactly(length)
+
+
+async def test_request_deadline_drops_unfinished_requests(monkeypatch):
+    """A connection still holding part of a request two deadline checks
+    on, with nothing answered between them, is dropped and its handler
+    task ends: a head cut short, a body cut short, and a bare-LF request
+    whose head never ends."""
+    monkeypatch.setattr(http11, "REQUEST_DEADLINE", 0.2)
+    port = free_port()
+    server = await serve_xmlrpc("127.0.0.1", port, echo_dispatch)
+    body = encode_call(MethodCall("ping", [1]))
+    requests = (
+        [b"POST / HTTP/1.1\nHost: x\nContent-Length: %d\n\n%s" % (len(body), body)] * 10
+        + [b"POST / HTTP/1.1\r\nHost: x\r\nContent-Le"] * 5
+        + [b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body[:9])] * 5
+    )
+    connections = []
+    try:
+        for request in requests:
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(request)
+            connections.append((reader, writer))
+        tasks = http11.connection_tasks[server]
+        await poll_until(lambda: len(tasks) == len(requests), timeout=2.0)
+        for reader, _ in connections:
+            assert await asyncio.wait_for(reader.read(), 2.0) == b""
+        await poll_until(lambda: not tasks, timeout=2.0)
+    finally:
+        for _, writer in connections:
+            writer.close()
+        await http11.close_server(server)
+
+
+async def test_request_deadline_spares_idle_and_timely_requests(monkeypatch):
+    """A request already arriving at one deadline check is served if it
+    is whole by the next; a kept-alive connection with nothing buffered
+    stays open past any number of checks, and its next call answers."""
+    monkeypatch.setattr(http11, "REQUEST_DEADLINE", 0.5)
+    port = free_port()
+    server = await serve_xmlrpc("127.0.0.1", port, echo_dispatch)
+    loop = asyncio.get_running_loop()
+    body = encode_call(MethodCall("ping", [1]))
+    request = b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(body)
+    try:
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        await asyncio.sleep(0.35)  # the first check comes while the head trickles in
+        start = loop.time()
+        for byte in request:
+            writer.write(bytes([byte]))
+            await writer.drain()
+            await asyncio.sleep(0.003)
+        writer.write(body)
+        assert (await _read_answer(reader)).startswith(b"HTTP/1.1 200 ")
+        assert loop.time() - start < 0.5
+        await asyncio.sleep(1.6)  # three checks on an idle connection
+        assert len(http11.connection_tasks[server]) == 1
+        writer.write(request + body)
+        assert (await _read_answer(reader)).startswith(b"HTTP/1.1 200 ")
+        writer.close()
+        await writer.wait_closed()
+    finally:
+        await http11.close_server(server)
 
 
 async def test_keep_alive_serves_two_calls_on_one_connection():

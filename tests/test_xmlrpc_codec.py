@@ -177,6 +177,32 @@ def test_encode_response_roundtrip():
         assert parse_response(encode_response(resp)) == resp
 
 
+def test_parsed_answer_encodes_as_the_bytes_it_came_in():
+    """A parsed answer keeps its body (raw) and encodes back to it, tags,
+    whitespace and encoding as they were; raw takes no part in == or
+    repr. A new answer of the same value is encoded anew."""
+    success = (
+        b"<?xml version='1.0' encoding='ISO-8859-1'?>\n<methodResponse>\n"
+        b"  <params><param><value><array><data>\n"
+        b"    <value><i4>1</i4></value><value>caf\xe9</value>\n"
+        b"  </data></array></value></param></params>\n</methodResponse>\n"
+    )
+    fault = (
+        b"<methodResponse><fault><value><struct>"
+        b"<member><name>faultString</name><value>no</value></member>"
+        b"<member><name>faultCode</name><value><i4>-1</i4></value></member>"
+        b"</struct></value></fault></methodResponse>"
+    )
+    for body, fresh in ((success, MethodSuccess([1, "caf\xe9"])), (fault, MethodFault(-1, "no"))):
+        parsed = parse_response(body)
+        assert parsed.raw is body
+        assert encode_response(parsed) is body
+        assert parsed == fresh and repr(parsed) == repr(fresh)
+        assert fresh.raw is None
+        assert encode_response(fresh) != body
+        assert parse_response(encode_response(fresh)) == fresh
+
+
 def test_ros_result_on_the_wire():
     resp = MethodSuccess(RosResult(1, "ok", 0).to_value())
     parsed = parse_response(encode_response(resp))
