@@ -29,9 +29,11 @@ deadline, and the call fails as a timeout whatever its read returned.
 A call over a pooled connection makes no task.
 
 Every listener is built by listen and closed by close_server: closing a
-port aborts its connections instead of waiting on their peers. The proxy
-looks its bind host up once (bind_addresses) and hands every listen the
-numeric addresses, which asyncio binds without a resolver thread.
+port aborts its connections instead of waiting on their peers, also one
+accepted as the port closed. abort_connections aborts them and leaves
+the port open. The proxy looks its bind host up once (bind_addresses)
+and hands every listen the numeric addresses, which asyncio binds
+without a resolver thread.
 """
 
 from __future__ import annotations
@@ -100,8 +102,12 @@ async def listen(host: BindHosts, port: int, on_connection) -> asyncio.AbstractS
     executor on every call. Raises BindFailed if the port cannot be
     bound."""
     tasks = set()
+    server = None  # accept can run before start_server returns
 
     def accept(reader, writer):
+        if server is not None and not server.is_serving():
+            writer.transport.abort()  # accepted just before the port closed
+            return
         task = asyncio.ensure_future(on_connection(reader, writer))
         tasks.add(task)
         task.add_done_callback(lambda _: (tasks.discard(task), writer.transport.abort()))
@@ -115,15 +121,28 @@ async def listen(host: BindHosts, port: int, on_connection) -> asyncio.AbstractS
     return server
 
 
+async def abort_connections(server: asyncio.AbstractServer) -> None:
+    """Cancel and await the handler of every connection server has now,
+    which aborts the connection; the port keeps accepting."""
+    tasks = list(connection_tasks.get(server, ()))
+    for task in tasks:
+        task.cancel()
+    await asyncio.gather(*tasks, return_exceptions=True)
+
+
 async def close_server(server: asyncio.AbstractServer) -> None:
-    """Stop accepting, then cancel and await every connection's handler,
-    also one a connection accepted just before close adds late."""
+    """Stop accepting, then abort every connection.
+
+    asyncio builds an accepted socket's transport one loop turn after the
+    accept, and a transport built after close fails and holds its socket
+    until garbage collection. So the port stops accepting one turn before
+    it closes. A connection whose transport is built by then but reaches
+    listen's accept only after close is aborted there."""
+    for sock in server.sockets:
+        asyncio.get_running_loop().remove_reader(sock.fileno())
+    await asyncio.sleep(0)
     server.close()
-    tasks = connection_tasks.get(server, ())
-    while not all(task.done() for task in tasks):
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+    await abort_connections(server)
     await server.wait_closed()
 
 
@@ -356,10 +375,10 @@ class ConnectionPool:
         for _, writer in self._idle.pop((host, port), ()):
             writer.transport.abort()
 
-    async def close(self, host: Optional[str] = None, port: Optional[int] = None) -> None:
-        """Close the idle connections to host:port, or all of them."""
-        targets = [(host, port)] if host is not None else list(self._idle)
-        await hang_up(*(writer for target in targets for _, writer in self._idle.pop(target, ())))
+    async def close(self) -> None:
+        """Close every idle connection."""
+        idle, self._idle = self._idle, {}
+        await hang_up(*(writer for stack in idle.values() for _, writer in stack))
 
 
 async def http_post(

@@ -9,6 +9,14 @@ closes the gateway listener *first* so the advertised port refuses
 connections before any other state is torn down — outside observers
 never see a port that accepts while the record is already gone.
 
+A restart (same caller_id, new URI) recycles the old record the same
+way, except that its listener stays open: only its connections are
+aborted. First-fit leasing usually hands the restarted node the port it
+had, and then the new record takes over the open listener; a call that
+reaches it before the new record is in place is answered "node … is
+gone". On any other port the old listener is closed and a new one
+started.
+
 The proxy never unregisters a purged node at the upstream master; the
 refusing port is exactly what standard cleanup probes look for, and
 silently deleting registrations behind an operator's back is worse than
@@ -25,7 +33,8 @@ from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from .config import ProxyConfig
 from .http11 import (
-    ConnectionPool, Dialer, bind_addresses, close_server, forward, split_http_uri,
+    ConnectionPool, Dialer, abort_connections, bind_addresses, close_server, forward,
+    split_http_uri,
 )
 from .ports import PortAllocator, PortLease, PURPOSE_SLAVE_API, PURPOSE_TCPROS
 from .relay import RelayHandle, close_relay, open_relay
@@ -118,32 +127,37 @@ class Registry:
 
         Same id + same URI is idempotent. Same id with a different URI
         means the node restarted: the old resources are purged and a
-        fresh record is built. Raises Exhausted (no ports) or BindFailed
-        with no partial record left behind.
+        fresh record is built, which keeps the old gateway listener if
+        it gets the old port back. Raises Exhausted (no ports) or
+        BindFailed with no partial record left behind.
         """
         async with self._lock:
-            existing = self.nodes.get(caller_id)
-            if existing is not None and not existing.purged:
-                if existing.real_slave_uri == real_slave_uri:
-                    return existing
-                log.info("node %s moved %s -> %s; recycling its resources",
-                         caller_id, existing.real_slave_uri, real_slave_uri)
-                await self._purge_locked(existing)
-
+            old = self.nodes.get(caller_id)  # under the lock, never a purged record
+            if old is not None and old.real_slave_uri == real_slave_uri:
+                return old
+            if old is not None:
+                await self._purge_locked(old, keep_listener=True)
             lease = self.allocator.lease(PURPOSE_SLAVE_API, real_slave_uri, caller_id)
-            record = NodeRecord(
-                caller_id=caller_id,
-                real_slave_uri=real_slave_uri,
-                gateway_lease=lease,
-            )
-            try:
-                record.gateway_server = await self.gateway_factory(record)
-            except Exception:
-                self.allocator.release(lease)
-                raise
+            record = NodeRecord(caller_id=caller_id, real_slave_uri=real_slave_uri, gateway_lease=lease)
+            kept = old is not None and old.gateway_port == lease.port
+            if kept:
+                record.gateway_server = old.gateway_server
+            else:
+                if old is not None:
+                    await close_server(old.gateway_server)
+                try:
+                    record.gateway_server = await self.gateway_factory(record)
+                except Exception:
+                    self.allocator.release(lease)
+                    raise
             self.nodes[caller_id] = record
-            log.info("node %s (%s) -> gateway port %d",
-                     caller_id, real_slave_uri, lease.port)
+            if old is None:
+                log.info("node %s (%s) -> gateway port %d", caller_id, real_slave_uri, lease.port)
+            else:
+                log.info("node %s moved %s -> %s; gateway port %s",
+                         caller_id, old.real_slave_uri, real_slave_uri,
+                         "%d kept" % lease.port if kept
+                         else "%d moved to %d" % (old.gateway_port, lease.port))
             return record
 
     def add_registration(self, caller_id: str, kind: str, name: str) -> int:
@@ -185,14 +199,6 @@ class Registry:
             return handle
 
     @_shielded
-    async def purge_node(self, caller_id: str) -> None:
-        async with self._lock:
-            record = self.nodes.get(caller_id)
-            if record is None or record.purged:
-                raise UnknownNode(caller_id)
-            await self._purge_locked(record)
-
-    @_shielded
     async def purge_record(self, record: NodeRecord, *, only_if_idle: bool = False) -> bool:
         """Purge record if it is still its caller_id's: a restart may have
         replaced it while this waited for the lock. With only_if_idle, also
@@ -219,12 +225,14 @@ class Registry:
         await asyncio.gather(*self._grace_tasks, return_exceptions=True)
         await self.pool.close()
 
-    async def _purge_locked(self, record: NodeRecord) -> None:
+    async def _purge_locked(self, record: NodeRecord, *, keep_listener: bool = False) -> None:
         # Order matters: the gateway port must refuse before anything
-        # else is released, and the record leaves the map last.
+        # else is released, and the record leaves the map last. A restart
+        # (keep_listener) only aborts the port's connections, and
+        # ensure_node hands the listener on or closes it.
         record.purged = True
         self._cancel_grace(record)
-        await close_server(record.gateway_server)
+        await (abort_connections if keep_listener else close_server)(record.gateway_server)
         for handle in list(record.tcpros_relays.values()):
             await close_relay(handle)
             self.allocator.release(handle.lease)
@@ -232,8 +240,9 @@ class Registry:
         self.pool.drop(*split_http_uri(record.real_slave_uri)[:2])
         self.allocator.release(record.gateway_lease)
         self.nodes.pop(record.caller_id, None)
-        log.info("node %s purged (gateway port %d released)",
-                 record.caller_id, record.gateway_lease.port)
+        if not keep_listener:
+            log.info("node %s purged (gateway port %d released)",
+                     record.caller_id, record.gateway_lease.port)
 
     # -- refcount grace timer ----------------------------------------
 

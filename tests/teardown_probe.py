@@ -6,11 +6,14 @@ relay an idle client plus one that stops reading while the target floods
 it. The upstream master and the node answer on kept-alive connections,
 so the proxy also holds idle pooled connections to both. Then it
 restarts the node's caller_id with a new URI, purges the node, and stops
-the app, timing each step. It reports the pooled connections at the
-start of teardown and after stop, and the leases, tasks and file
-descriptors left behind. The proxy binds every interface (bind host
-""), and after it has started no listener may submit a job (a
-getaddrinfo) to the loop's default executor.
+the app, timing each step. The restart gets its gateway port back, so it
+must keep that port's listening sockets. It reports the pooled
+connections at the start of teardown and after stop, and the leases,
+tasks and file descriptors left behind. It also closes a port 0 to 6
+loop turns after a client connects to it: each time, the connection
+must end with the port and leave no handler. The proxy binds every
+interface (bind host ""), and after it has started no listener may
+submit a job (a getaddrinfo) to the loop's default executor.
 
 Run as a script (``PYTHONPATH=src python tests/teardown_probe.py``), it
 prints the report as JSON and exits 1 if any check failed, so any
@@ -20,12 +23,13 @@ installed interpreter can run it without pytest.
 import asyncio
 import json
 import os
+import socket
 import sys
 import time
 
 from rosproxy.app import ProxyApp
 from rosproxy.harness.rpc import RosClient
-from rosproxy.http11 import serve_xmlrpc
+from rosproxy.http11 import close_server, connection_tasks, listen, serve_xmlrpc
 from rosproxy.xmlrpc_codec import MethodCall, MethodSuccess, encode_call
 
 from helpers import CountingExecutor, free_port, make_config
@@ -110,6 +114,34 @@ async def start_stubs(live_targets: set):
     return servers, upstream_port, node_port
 
 
+async def late_accepts() -> list:
+    """The loop turns (0 to 6) between a connect and its port's close
+    after which the connection did not end, or left a handler behind."""
+    loop = asyncio.get_running_loop()
+    failed = []
+    for turns in range(7):
+        server = await listen(HOST, 0, lambda reader, writer: reader.read())
+        client = socket.create_connection(server.sockets[0].getsockname()[:2])
+        client.setblocking(False)
+        try:
+            for _ in range(turns):
+                await asyncio.sleep(0)
+            closed = await timed(close_server(server)) < STEP_LIMIT_S
+            for _ in range(6):
+                await asyncio.sleep(0)
+            try:
+                ended = await asyncio.wait_for(loop.sock_recv(client, 1), STUCK_S) == b""
+            except ConnectionResetError:
+                ended = True
+            except asyncio.TimeoutError:
+                ended = False
+            if not (closed and ended) or connection_tasks[server]:
+                failed.append(turns)
+        finally:
+            client.close()
+    return failed
+
+
 async def timed(step) -> float:
     started = time.monotonic()
     try:
@@ -166,10 +198,17 @@ async def probe() -> dict:
 
     report = {"python": sys.version.split()[0], "relay_bytes_out": relay.bytes_out}
     report["pooled_at_start"] = app.registry.pool.idle_count()
+    listener = record.gateway_server
+    filenos = [sock.fileno() for sock in listener.sockets]
     report["restart_s"] = await timed(register("http://%s:%d/restarted" % (HOST, node_port)))
     fresh = app.registry.get(CALLER_ID)
+    report["gateway_kept"] = (
+        fresh.gateway_server is listener
+        and listener.is_serving()
+        and [sock.fileno() for sock in listener.sockets] == filenos
+    )
     peers.append(await idle_keep_alive_peer(fresh.gateway_port))
-    report["purge_s"] = await timed(app.registry.purge_node(CALLER_ID))
+    report["purge_s"] = await timed(app.registry.purge_record(app.registry.get(CALLER_ID)))
     report["stop_s"] = await timed(app.stop())
     report["pooled_after_stop"] = app.registry.pool.idle_count()
     report["executor_jobs_after_start"] = executor.jobs - jobs_at_start
@@ -177,6 +216,8 @@ async def probe() -> dict:
     # the relay aborted the connections it dialed, so the target saw them end
     await settle(lambda: not live_targets)
     report["target_connections"] = len(live_targets)
+
+    report["late_accept_failed_turns"] = await late_accepts()
 
     for writer in peers:
         writer.transport.abort()
@@ -188,6 +229,8 @@ async def probe() -> dict:
     report["fds"] = [fds_before, open_fds()]
     report["ok"] = (
         all(report[k] < STEP_LIMIT_S for k in ("restart_s", "purge_s", "stop_s"))
+        and report["gateway_kept"]
+        and not report["late_accept_failed_turns"]
         and report["pooled_at_start"] > 0
         and report["pooled_after_stop"] == 0
         and report["executor_jobs_after_start"] == 0

@@ -452,7 +452,7 @@ async def test_criterion_6_resource_conservation():
                 model_node(name)
             elif model:
                 victim = rng.choice(sorted(model))
-                await registry.purge_node(victim)
+                await registry.purge_record(registry.get(victim))
                 model.pop(victim)
             else:
                 await send("registerPublisher", [name, "/t0", "std_msgs/String", api])
@@ -489,7 +489,7 @@ async def test_criterion_7_port_determinism_and_exhaustion():
         b_port = b.gateway_port
         await registry.lease_relay("/a", "127.0.9.1", 7101)
         await registry.ensure_node("/c", "http://127.0.9.1:6003/")
-        await registry.purge_node("/b")
+        await registry.purge_record(registry.get("/b"))
         d = await registry.ensure_node("/d", "http://127.0.9.1:6004/")
         await registry.lease_relay("/d", "127.0.9.1", 7102)
         await registry.lease_relay("/a", "127.0.9.1", 7101)  # dedup, no new lease

@@ -285,7 +285,7 @@ async def test_one_dialer_reaches_every_outbound_connection():
         assert await app.registry.ping_cycle() == [("/talker", "ok")]
         assert dials == [upstream_port, node_port]
         # ... and, with none idle, dials its own
-        await app.registry.pool.close("127.0.0.1", node_port)
+        app.registry.pool.drop("127.0.0.1", node_port)
         assert await app.registry.ping_cycle() == [("/talker", "ok")]
         assert dials == [upstream_port, node_port, node_port]
 

@@ -85,7 +85,7 @@ async def test_purge_closes_the_nodes_pooled_connections():
             response = await manager.handle_slave_call(record, MethodCall("getPid", ["/probe"]))
             assert response == MethodSuccess([1, "", 4242])
         assert registry.pool.idle_count() == 2
-        await registry.purge_node("/a")
+        await registry.purge_record(registry.get("/a"))
         await poll_until(lambda: peers["/a"].eofs == 1, timeout=2.0)
         assert registry.pool.idle_count() == 1
         assert peers["/b"].closed == 0

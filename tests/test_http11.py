@@ -1,7 +1,8 @@
 """HTTP/XML-RPC transport tests: server dispatch, client round trips,
 error statuses, keep-alive, head framing, the served request's deadline,
-the dial hook, the response size bound, the round trip's deadline and
-the pool of kept-alive client connections."""
+the dial hook, the response size bound, the round trip's deadline, the
+pool of kept-alive client connections, and a port that closes just after
+a connect."""
 
 import asyncio
 import logging
@@ -32,6 +33,7 @@ from rosproxy.xmlrpc_codec import (
     MethodCall,
 )
 
+import teardown_probe
 from helpers import KeepAlivePeer, free_port, poll_until
 
 
@@ -279,6 +281,13 @@ async def test_request_deadline_spares_idle_and_timely_requests(monkeypatch):
         await writer.wait_closed()
     finally:
         await http11.close_server(server)
+
+
+async def test_close_server_ends_a_connection_accepted_as_it_closes():
+    """However many loop turns (0 to 6) after its connect the port closes,
+    the connection ends with it and leaves no handler behind: also one
+    that asyncio accepted but had not yet handed to listen's accept."""
+    assert await teardown_probe.late_accepts() == []
 
 
 async def test_keep_alive_serves_two_calls_on_one_connection():

@@ -248,7 +248,7 @@ async def test_registration_for_a_node_purged_meanwhile_gets_the_vanished_fault(
             "registerPublisher", ["/talker", "/chat", "std_msgs/String", node_uri]
         ))
         await poll_until(lambda: lock_waiters(registry) == 1, timeout=2.0)
-        purge = asyncio.ensure_future(registry.purge_node("/talker"))
+        purge = asyncio.ensure_future(registry.purge_record(registry.get("/talker")))
         await poll_until(lambda: lock_waiters(registry) == 2, timeout=2.0)
         registry._lock.release()
         assert await register == MethodFault(

@@ -1,12 +1,17 @@
 """Registry tests: node lifecycle, refcounts, grace purge, relay
-ownership, ping-driven purge, and the no-leak resource invariant."""
+ownership, ping-driven purge, a restart that keeps its gateway port, and
+the no-leak resource invariant."""
 
 import asyncio
+import logging
 
 import pytest
 
-from rosproxy.http11 import BindFailed, close_server, serve_xmlrpc
-from rosproxy.ports import Exhausted
+from rosproxy.app import ProxyApp
+from rosproxy.http11 import (
+    BindFailed, RpcTransportError, XmlRpcClient, close_server, serve_xmlrpc,
+)
+from rosproxy.ports import PURPOSE_SLAVE_API, PURPOSE_TCPROS, Exhausted
 from rosproxy.registry import (
     KIND_PUB,
     KIND_SERVICE,
@@ -50,7 +55,7 @@ async def test_uri_change_recycles_resources():
     moved = await registry.ensure_node("/mover", "http://127.0.0.1:2000/")
     old_port = moved.gateway_port
     old_server = moved.gateway_server
-    await registry.purge_node("/first")  # frees a port below old_port
+    await registry.purge_record(registry.get("/first"))  # frees a port below old_port
 
     fresh = await registry.ensure_node("/mover", "http://127.0.0.1:2001/")
     assert fresh is not moved
@@ -145,12 +150,12 @@ async def test_purge_closes_gateway_port_first_and_frees_everything():
     record = await registry.ensure_node("/n", "http://127.0.0.1:1/")
     await registry.lease_relay("/n", "127.0.0.1", 50001)
     gateway_port = record.gateway_port
-    await registry.purge_node("/n")
+    await registry.purge_record(registry.get("/n"))
     await poll_refused("127.0.0.1", gateway_port, timeout=2.0)
     assert allocator.live_leases() == []
     assert "/n" not in registry.nodes
     with pytest.raises(UnknownNode):
-        await registry.purge_node("/n")
+        await registry.purge_record(registry.get("/n"))
 
 
 async def test_purge_then_ensure_same_id_gives_fresh_state():
@@ -158,11 +163,104 @@ async def test_purge_then_ensure_same_id_gives_fresh_state():
     await registry.ensure_node("/n", "http://127.0.0.1:1/")
     registry.add_registration("/n", KIND_PUB, "/chat")
     await registry.lease_relay("/n", "127.0.0.1", 50001)
-    await registry.purge_node("/n")
+    await registry.purge_record(registry.get("/n"))
     fresh = await registry.ensure_node("/n", "http://127.0.0.1:1/")
     assert fresh.refcount() == 0
     assert fresh.tcpros_relays == {}
     await registry.purge_all()
+
+
+# -- a restart that gets its gateway port back ------------------------
+
+
+def proxy_registry(**settings):
+    """A registry whose gateways are the proxy's own slave gateways."""
+    return ProxyApp(make_config(**settings)).registry
+
+
+async def start_node(pid, arrived=None, gate=None):
+    """A slave API answering getPid with pid. With gate, it sets arrived
+    when a call comes in and answers only once gate is set."""
+
+    async def dispatch(path, call, peer):
+        if gate is not None:
+            arrived.set()
+            await gate.wait()
+        return MethodSuccess([1, "", pid])
+
+    port = free_port()
+    return await serve_xmlrpc("127.0.0.1", port, dispatch), "http://127.0.0.1:%d/" % port
+
+
+async def test_same_port_restart_keeps_the_listener(caplog):
+    registry = proxy_registry()
+    old = await registry.ensure_node("/n", "http://127.0.0.1:1/")
+    server = old.gateway_server
+    filenos = [sock.fileno() for sock in server.sockets]
+    with caplog.at_level(logging.INFO, logger="rosproxy.registry"):
+        fresh = await registry.ensure_node("/n", "http://127.0.0.1:2/")
+    assert fresh.gateway_port == old.gateway_port
+    assert fresh.gateway_server is server and server.is_serving()
+    assert [sock.fileno() for sock in server.sockets] == filenos
+    assert [r.getMessage() for r in caplog.records if r.name == "rosproxy.registry"] == [
+        "node /n moved http://127.0.0.1:1/ -> http://127.0.0.1:2/; gateway port %d kept"
+        % fresh.gateway_port
+    ]
+    await registry.purge_all()
+    assert not server.is_serving()
+    await poll_refused("127.0.0.1", fresh.gateway_port, timeout=2.0)
+
+
+async def test_restart_leases_as_before():
+    registry = proxy_registry()
+    low = registry.config.port_range.low
+    await registry.ensure_node("/n", "http://127.0.0.1:1/")
+    await registry.lease_relay("/n", "127.0.0.1", 50001)
+    await registry.ensure_node("/n", "http://127.0.0.1:2/")
+    await registry.lease_relay("/n", "127.0.0.1", 50001)
+    await registry.purge_record(registry.get("/n"))
+    assert list(registry.allocator.history) == [
+        (low, PURPOSE_SLAVE_API, "/n"),
+        (low + 1, PURPOSE_TCPROS, "/n"),
+        (low, PURPOSE_SLAVE_API, "/n"),
+        (low + 1, PURPOSE_TCPROS, "/n"),
+    ]
+    assert registry.allocator.live_leases() == []
+
+
+async def test_restart_aborts_a_gateway_call_in_flight():
+    arrived, gate = asyncio.Event(), asyncio.Event()
+    node, uri = await start_node(1, arrived, gate)
+    registry = proxy_registry()
+    try:
+        record = await registry.ensure_node("/n", uri)
+        gateway = XmlRpcClient("http://127.0.0.1:%d/" % record.gateway_port, timeout=5.0)
+        call = asyncio.ensure_future(gateway.call("getPid", ["/probe"]))
+        await asyncio.wait_for(arrived.wait(), 2.0)
+        fresh = await registry.ensure_node("/n", "http://127.0.0.1:%d/" % free_port())
+        assert fresh.gateway_server is record.gateway_server
+        with pytest.raises(RpcTransportError):
+            await asyncio.wait_for(call, 2.0)
+    finally:
+        gate.set()
+        await registry.purge_all()
+        await close_server(node)
+
+
+async def test_call_after_restart_reaches_the_new_node_on_the_same_port():
+    (old_node, old_uri), (new_node, new_uri) = await start_node(1), await start_node(2)
+    registry = proxy_registry()
+    try:
+        record = await registry.ensure_node("/n", old_uri)
+        gateway = XmlRpcClient("http://127.0.0.1:%d/" % record.gateway_port, timeout=2.0)
+        assert await gateway.call("getPid", ["/probe"]) == MethodSuccess([1, "", 1])
+        fresh = await registry.ensure_node("/n", new_uri)
+        assert fresh.gateway_port == record.gateway_port
+        assert await gateway.call("getPid", ["/probe"]) == MethodSuccess([1, "", 2])
+    finally:
+        await registry.purge_all()
+        for node in (old_node, new_node):
+            await close_server(node)
 
 
 # -- pinging ---------------------------------------------------------
@@ -337,7 +435,7 @@ async def test_randomized_walk_conserves_resources():
                 elif action == "relay":
                     await registry.lease_relay(node, "127.0.0.1", rng.randint(50000, 50003))
                 elif action == "purge":
-                    await registry.purge_node(node)
+                    await registry.purge_record(registry.get(node))
             except (UnknownNode, Exhausted):
                 pass
             if action == "check":

@@ -1,7 +1,9 @@
 """Fault injection at teardown: closing a port ends its connections.
 
 Idle keep-alive peers and a client that stops reading must not hold up a
-node restart, a purge or shutdown, on any Python the project supports.
+node restart, a purge or shutdown, on any Python the project supports. A
+restart that gets its gateway port back keeps its listener, and a port
+closing just after a connect ends that connection too.
 """
 
 import os
@@ -20,6 +22,8 @@ async def test_teardown_with_idle_and_slow_peers():
     report = await teardown_probe.probe()
     for step in ("restart_s", "purge_s", "stop_s"):
         assert report[step] < teardown_probe.STEP_LIMIT_S, report
+    assert report["gateway_kept"]
+    assert report["late_accept_failed_turns"] == []
     assert report["pooled_at_start"] > 0
     assert report["pooled_after_stop"] == 0
     assert report["executor_jobs_after_start"] == 0
