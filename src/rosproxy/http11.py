@@ -504,13 +504,17 @@ async def forward(
 ) -> MethodResponse:
     """Relay call to uri over a connection from pool and return its answer.
 
-    The answer keeps the body it was parsed from, so serve_xmlrpc sends
-    it back as those bytes unless the caller returns a new answer. The
-    call itself is encoded anew.
+    The answer keeps the body it arrived in, so serve_xmlrpc sends it
+    back as those bytes unless the caller returns a new answer. A plain
+    success answer is decoded only if the caller reads its value, and
+    that read raises CodecError, a ValueError, if the body does not
+    decode (xmlrpc_codec.parse_response). The call itself is encoded
+    anew.
 
     This is the one place a failed round trip (refused, timeout, non-200,
-    unparseable body) becomes a FAULT_TRANSPORT fault; target names the
-    far end in that fault and in the one warning line logged for it.
+    a body that is no answer) becomes a FAULT_TRANSPORT fault; target
+    names the far end in that fault and in the one warning line logged
+    for it.
     """
     try:
         return await XmlRpcClient(uri, timeout=timeout, pool=pool).call(

@@ -7,11 +7,15 @@ resources exist, swaps the endpoints for advertised ones, keeps the
 registration refcounts, and only then forwards upstream. Everything
 else is forwarded unrewritten, both ways: subscriber lists, parameter
 traffic, lookups. Nodes connect *outward* to addresses in responses on
-their own, so responses never need rewriting. Every call and answer is
-still decoded on its way through (http11.forward). A call is encoded
-anew, so its whitespace and type tags (<i4> versus <int>) can change;
-an answer goes back as the bytes it arrived in. An answer the codec
-cannot read (<i8>, <nil/>) becomes a transport fault.
+their own, so responses never need rewriting. Every call is decoded
+and encoded anew on its way through (http11.forward), so its whitespace
+and type tags (<i4> versus <int>) can change. Every answer goes back as
+the bytes it arrived in, and a plain success answer is never decoded
+here, so one the codec cannot read (<i8>, <nil/>) passes through too.
+Three calls that carry a node's endpoint are not rewritten and reach
+the master with the node's internal address: subscribeParam and
+unsubscribeParam (so such a node gets no paramUpdate pushes) and
+unregisterService (so the master keeps the service registered).
 
 The same listener also serves /node/<percent-encoded caller_id> as a
 diagnostic alias onto each node's gateway, which is handy when only the

@@ -4,11 +4,13 @@ Each proxied node gets its own HTTP listener. Every call arriving there
 is forwarded to the node's real endpoint; the one interesting case is
 requestTopic, whose successful answer names the node's TCPROS socket —
 an address external peers cannot reach. For those we lease (or reuse) a
-relay and hand out the advertised host and relay port instead. All
-other methods, and any non-TCPROS protocol tuple, pass through
-unrewritten: decoded, like every answer through http11.forward, and
-sent back as the bytes the node answered with. A rewritten answer is a
-new MethodSuccess, so none of the node's bytes go out with it.
+relay and hand out the advertised host and relay port instead. Every
+other answer goes back as the bytes the node answered with, and only a
+requestTopic answer is decoded here (http11.forward leaves a plain
+success answer undecoded until its value is read). A requestTopic
+answer with another protocol or shape, or one that does not decode,
+goes back unrewritten too. A rewritten answer is a new MethodSuccess,
+so none of the node's bytes go out with it.
 
 A dedicated listener per node (rather than one shared server with
 per-node paths) is what makes a purged node's port *refuse TCP

@@ -19,16 +19,20 @@ round-trip stable:
 Everything here is pure functions over byte buffers: no shared state, safe
 from any number of concurrent handlers.
 
-The proxy decodes every call and answer it relays and re-encodes every
-call, so the per-value path is kept short. An answer keeps the body it
-was parsed from (raw), and encode_response sends an unchanged answer
-back as those bytes instead of encoding it again. ``ET.fromstring``
-builds the tree and is the well-formedness check; it is the floor, and
-most of the cost of decoding a 400-topic ``getSystemState`` answer. The
-walk over its tree indexes children instead of copying them into lists
-and tests ``string`` and ``array`` first; the encoder tests ``str`` and
-then ``list``/``tuple`` first, and text with nothing to escape is
-emitted as it is.
+The proxy decodes every call and re-encodes it, so the per-value path is
+kept short. A plain success answer, the kind nearly every relayed call
+gets, is not decoded by parse_response: it keeps the body it arrived in
+(raw) and decodes it, strictly, only when its value is first read.
+encode_response sends an answer that has a raw body back as those bytes,
+so an answer the proxy never reads crosses it with no XML work, and one
+that would not decode still goes back as it came. Faults, and any body
+that does not open like a plain success answer, are decoded at once.
+``ET.fromstring`` builds the tree and is the well-formedness check; it
+is most of the cost of decoding a 400-topic ``getSystemState`` answer.
+The walk over its tree indexes children instead of copying them into
+lists and tests ``string`` and ``array`` first; the encoder tests
+``str`` and then ``list``/``tuple`` first, and text with nothing to
+escape is emitted as it is.
 """
 
 from __future__ import annotations
@@ -53,9 +57,14 @@ FAULT_BAD_PARAMS = -32602
 FAULT_APP = -32000
 
 _METHOD_NAME_RE = re.compile(r"^\S+$")
+# How a plain success answer opens: an optional XML declaration, then
+# <methodResponse> and <params> with only whitespace around them. Every
+# part is bounded, so a match never reads far into the body.
+_SUCCESS_HEAD_RE = re.compile(
+    rb"(?:<\?xml[^<>?]{0,256}\?>)?[ \t\r\n]{0,64}<methodResponse>[ \t\r\n]{0,64}<params>")
 
 
-class CodecError(Exception):
+class CodecError(ValueError):
     """Base class for wire-level decode failures."""
 
 
@@ -83,15 +92,41 @@ class MethodCall:
     params: list
 
 
-# raw: the body parse_response read an answer from, which encode_response
-# sends back as it is. It takes no part in == or repr. An answer that
-# changes is a new MethodSuccess or MethodFault, never a replace() of one.
-@dataclass
+_UNDECODED = object()
+
+
 class MethodSuccess:
-    value: RpcValue
-    raw: Optional[bytes] = field(default=None, compare=False, repr=False)
+    """A success answer; == and repr are by value, and it is unhashable.
+
+    raw is the body the answer was parsed from, which encode_response
+    sends back as it is. An answer parse_response left undecoded decodes
+    raw on the first read of value, and that read raises CodecError if
+    raw does not decode. An answer that changes is a new MethodSuccess.
+    """
+
+    __slots__ = ("_value", "raw")
+
+    def __init__(self, value: RpcValue = _UNDECODED, raw: Optional[bytes] = None):
+        self._value = value
+        self.raw = raw
+
+    @property
+    def value(self) -> RpcValue:
+        if self._value is _UNDECODED:
+            answer = _decode_response(self.raw)
+            if not isinstance(answer, MethodSuccess):
+                raise MalformedXml("a fault, not a success answer")
+            self._value = answer.value
+        return self._value
+
+    def __eq__(self, other):  # defining __eq__ alone leaves __hash__ None
+        return self.value == other.value if other.__class__ is MethodSuccess else NotImplemented
+
+    def __repr__(self):
+        return "MethodSuccess(value=%r)" % (self.value,)
 
 
+# raw: as for MethodSuccess; it takes no part in == or repr.
 @dataclass
 class MethodFault:
     code: int
@@ -358,6 +393,15 @@ def parse_call(body: bytes) -> MethodCall:
 
 
 def parse_response(body: bytes) -> MethodResponse:
+    """The answer in body. A plain success answer (_SUCCESS_HEAD_RE) is
+    left undecoded, so it raises nothing here; any other body is decoded
+    now, and raises CodecError if it does not decode."""
+    if _SUCCESS_HEAD_RE.match(body):
+        return MethodSuccess(raw=body)
+    return _decode_response(body)
+
+
+def _decode_response(body: bytes) -> MethodResponse:
     root = _parse_document(body)
     if root.tag != "methodResponse":
         raise MalformedXml("not a methodResponse document (root <%s>)" % root.tag)

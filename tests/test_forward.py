@@ -75,6 +75,28 @@ async def test_transport_failure_takes_the_one_forward_path(failure, path):
     assert allocator.live_leases() == []
 
 
+async def test_a_pid_answer_that_does_not_decode_fails_the_ping():
+    """A getPid answer in a success envelope is decoded only when the
+    pinger reads it; one that does not decode is a failed ping, while
+    the slave gateway hands the same bytes back undecoded."""
+    pid = (b"<?xml version='1.0'?>\n<methodResponse><params><param><value><array><data>"
+           b"<value><i4>1</i4></value><value></value><value><i8>4242</i8></value>"
+           b"</data></array></value></param></params></methodResponse>\n")
+    peer = await KeepAlivePeer(lambda body: pid).start()
+    uri = "http://127.0.0.1:%d/" % peer.port
+    gateway, registry, manager, allocator = build_gateway(uri, request_timeout=RPC_TIMEOUT)
+    try:
+        record = await registry.ensure_node("/n", uri)
+        assert await registry.ping_cycle() == [("/n", "failed")]
+        assert record.ping_failures == 1
+        response = await manager.handle_slave_call(record, MethodCall("getPid", ["/probe"]))
+        assert isinstance(response, MethodSuccess) and encode_response(response) == pid
+    finally:
+        await registry.purge_all()
+        await peer.stop()
+    assert allocator.live_leases() == []
+
+
 async def test_purge_closes_the_nodes_pooled_connections():
     pid = encode_response(MethodSuccess([1, "", 4242]))
     peers = {name: await KeepAlivePeer(lambda body: pid).start() for name in ("/a", "/b")}

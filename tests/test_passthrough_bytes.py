@@ -1,13 +1,15 @@
 """Pass-through answers on the wire: an answer the proxy does not change
 comes back as the bytes its upstream or node sent, on the main port, on
-a node's gateway and on the /node/<caller_id> alias. A rewritten
-requestTopic answer carries none of the node's bytes, and an answer the
-codec cannot read, or no answer, is still fault -32300."""
+a node's gateway and on the /node/<caller_id> alias, also one the codec
+cannot read (<i8>), and no answer passed through is decoded. A rewritten
+requestTopic answer carries none of the node's bytes. A body that is no
+answer, or no answer at all, is fault -32300."""
 
 import asyncio
 
 import pytest
 
+from rosproxy import xmlrpc_codec
 from rosproxy.app import ProxyApp
 from rosproxy.xmlrpc_codec import (
     FAULT_TRANSPORT,
@@ -72,19 +74,24 @@ VERBATIM = {
         b"<value><i4>7</i4></value><value><i4>1500</i4></value>",
     ),
     "code0": _triple(b"0", b"no publisher", NODE_TCPROS),
+    "i8": _success(b"<value><i8>4294967296</i8></value>"),
+    "tcpros-i8": _triple(
+        b"1", b"ready",
+        b"<value>TCPROS</value><value>node.internal</value><value><i8>40123</i8></value>",
+    ),
 }
 OTHER = {
     "tcpros": _triple(b"1", b"ready", NODE_TCPROS),
-    "i8": _success(b"<value><i8>4294967296</i8></value>"),
     "garbage": b"not xml",
 }
 ANSWERS = {**VERBATIM, **OTHER}
 
 ROUTES = ("main", "gateway", "alias")
+REQUEST_TOPIC_CASES = ("udpros", "code0", "tcpros-i8", "tcpros")
 
 
 def _call(case: str) -> MethodCall:
-    method = "requestTopic" if case in ("udpros", "code0", "tcpros") else "getParam"
+    method = "requestTopic" if case in REQUEST_TOPIC_CASES else "getParam"
     return MethodCall(method, ["/probe", case, [["TCPROS"], ["UDPROS"]]])
 
 
@@ -151,11 +158,11 @@ async def test_rewritten_request_topic_carries_none_of_the_nodes_bytes(route):
 
 @pytest.mark.parametrize("route", ROUTES)
 async def test_unreadable_answers_are_transport_faults(route):
-    """An <i8> answer and a body that is no XML become fault -32300,
-    encoded by the proxy, as does a call whose upstream has gone."""
+    """A body that is no XML becomes fault -32300, encoded by the proxy,
+    as does a call whose upstream has gone."""
     app, record, peer = await _start()
     try:
-        for case in ("i8", "garbage", "gone"):
+        for case in ("garbage", "gone"):
             if case == "gone":
                 await peer.stop()
             answer = await _post(app, record, route, _call(case))
@@ -163,5 +170,28 @@ async def test_unreadable_answers_are_transport_faults(route):
             assert isinstance(fault, MethodFault) and fault.code == FAULT_TRANSPORT, case
             assert answer.startswith(b'<?xml version="1.0"?><methodResponse><fault>')
             assert ("unparseable response" in fault.message) == (case != "gone")
+    finally:
+        await _stop(app, peer)
+
+
+@pytest.mark.parametrize("route", ("gateway", "main"))
+async def test_only_a_rewritten_answer_is_decoded(route, monkeypatch):
+    """A getSystemState answer crosses the proxy with no XML work: the
+    proxy parses the call and no answer. A requestTopic answer from a
+    node is still decoded, once, to be rewritten."""
+    state = _triple(b"1", b"current system state", b"<value><array><data/></array></value>" * 3)
+    parsed = []
+    real = xmlrpc_codec._parse_document
+    monkeypatch.setattr(xmlrpc_codec, "_parse_document", lambda body: parsed.append(body) or real(body))
+    app, record, peer = await _start()
+    try:
+        peer.answer = lambda body: state if b"getSystemState" in body else ANSWERS["tcpros"]
+        call = MethodCall("getSystemState", ["/probe"])
+        assert await _post(app, record, route, call) == state
+        assert parsed == [encode_call(call)]
+        parsed.clear()
+        answer = await _post(app, record, "gateway", _call("tcpros"))
+        assert parsed == [encode_call(_call("tcpros")), ANSWERS["tcpros"]]
+        assert len(record.tcpros_relays) == 1 and b"node.internal" not in answer
     finally:
         await _stop(app, peer)

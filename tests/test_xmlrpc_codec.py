@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_rng, random_rpc_value, same_value
+from rosproxy import xmlrpc_codec
 from rosproxy.xmlrpc_codec import (
     MAX_MESSAGE_BYTES,
     DepthExceeded,
@@ -157,7 +158,7 @@ def test_parse_response_two_params_rejected():
         b"</params></methodResponse>"
     )
     with pytest.raises(MalformedXml):
-        parse_response(body)
+        parse_response(body).value
 
 
 def test_fault_without_code_rejected():
@@ -201,6 +202,38 @@ def test_parsed_answer_encodes_as_the_bytes_it_came_in():
         assert fresh.raw is None
         assert encode_response(fresh) != body
         assert parse_response(encode_response(fresh)) == fresh
+
+
+def test_only_a_plain_success_answer_is_left_undecoded(monkeypatch):
+    """parse_response decodes no body that opens like a plain success
+    answer; its value is decoded on first read, once. A fault, or a body
+    that opens any other way, is decoded at once."""
+    parsed = []
+    real = xmlrpc_codec._parse_document
+    monkeypatch.setattr(xmlrpc_codec, "_parse_document", lambda body: parsed.append(body) or real(body))
+    triple = [1, "ok", ["a", 2]]
+    for body in (
+        encode_response(MethodSuccess(triple)),
+        xmlrpc.client.dumps((triple,), methodresponse=True).encode(),
+        b"<?xml version='1.0' encoding='ISO-8859-1'?>\r\n<methodResponse>\n <params>"
+        b"<param><value><array><data><value><i4>1</i4></value><value>ok</value><value>"
+        b"<array><data><value>a</value><value><int>2</int></value></data></array>"
+        b"</value></data></array></value></param></params></methodResponse>",
+    ):
+        answer = parse_response(body)
+        assert parsed == [] and answer.raw is body
+        assert answer.value == triple and answer.value == triple
+        assert parsed == [body]
+        parsed.clear()
+    fault = encode_response(MethodFault(-1, "no"))
+    commented = b"<!-- c --><methodResponse><params><param><value>x</value></param></params></methodResponse>"
+    assert parse_response(fault) == MethodFault(-1, "no")
+    assert parse_response(commented) == MethodSuccess("x")
+    assert parsed == [fault, commented]
+    with pytest.raises(MalformedXml):
+        parse_response(b"<methodResponse><param></param></methodResponse>")
+    with pytest.raises(MalformedXml):
+        MethodSuccess(raw=fault).value
 
 
 def test_ros_result_on_the_wire():
@@ -348,7 +381,7 @@ def _nested_array(depth):
 def test_parse_response_accepts_and_rejects(body, expected):
     if isinstance(expected, type):
         with pytest.raises(expected):
-            parse_response(body)
+            parse_response(body).value
     else:
         assert parse_response(body) == MethodSuccess(expected)
 
@@ -440,6 +473,8 @@ def test_parser_survives_arbitrary_bytes():
     for blob in corpus:
         for parse in (parse_call, parse_response):
             try:
-                parse(blob)
+                parsed = parse(blob)
+                if isinstance(parsed, MethodSuccess):
+                    parsed.value  # a deferred decode is fuzzed too
             except (MalformedXml, DepthExceeded):
                 pass  # errors are the contract; anything else is a crash
