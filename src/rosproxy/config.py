@@ -99,8 +99,6 @@ SETTINGS = (
             "seconds between liveness pings"),
     Setting("ping_failure_threshold", "ping-failures", "ping_failures", "3", _parse_int,
             "failed pings before purge"),
-    Setting("purge_grace", "purge-grace", "purge_grace", "30", _parse_float,
-            "seconds at refcount 0 before purge"),
     Setting("request_timeout", "request-timeout", "request_timeout", "5", _parse_float,
             "seconds per forwarded call"),
     Setting("log_level", "log-level", "log_level", "info", _parse_level, "|".join(LOG_LEVELS)),
@@ -150,8 +148,6 @@ class _ProxyConfigMethods:
             raise _error("ping_interval", " must be > 0")
         if self.ping_failure_threshold < 1:
             raise _error("ping_failure_threshold", " must be >= 1")
-        if self.purge_grace < 0:
-            raise _error("purge_grace", " must be >= 0")
         if self.request_timeout <= 0:
             raise _error("request_timeout", " must be > 0")
         if self.log_level not in LOG_LEVELS:

@@ -3,11 +3,13 @@
 Five registration methods carry the caller's XML-RPC endpoint (and, for
 services, a rosrpc endpoint) — addresses that are meaningless outside
 the internal segment. Those get intercepted: the proxy ensures per-node
-resources exist, swaps the endpoints for advertised ones, keeps the
-registration refcounts, and only then forwards upstream. Everything
-else is forwarded unrewritten, both ways: subscriber lists, parameter
-traffic, lookups. Nodes connect *outward* to addresses in responses on
-their own, so responses never need rewriting. Every call is decoded
+resources exist, swaps the endpoints for advertised ones, and only then
+forwards upstream. It keeps no count of what a node has registered: an
+unregistration never purges the node, and a node keeps its gateway when
+a registration fails. Everything else is forwarded unrewritten, both
+ways: subscriber lists, parameter traffic, lookups. Nodes connect
+*outward* to addresses in responses on their own, so responses never
+need rewriting. Every call is decoded
 and encoded anew on its way through (http11.forward), so its whitespace
 and type tags (<i4> versus <int>) can change. Every answer goes back as
 the bytes it arrived in, and a plain success answer is never decoded
@@ -37,14 +39,7 @@ from .http11 import (
     split_http_uri,
     split_rosrpc_uri,
 )
-from .registry import (
-    KIND_PUB,
-    KIND_SERVICE,
-    KIND_SUB,
-    NodeRecord,
-    Registry,
-    UnknownNode,
-)
+from .registry import NodeRecord, Registry, UnknownNode
 from .slave_gateway import SlaveGatewayManager
 from .xmlrpc_codec import (
     FAULT_APP,
@@ -66,20 +61,17 @@ class RewriteRule:
     method: str
     param_count: int
     caller_api_index: int
-    kind: str                 # registry refcount bucket
-    registers: bool           # False → this is the unregister direction
-    name_index: int = 1       # topic/service name position
     service_api_index: Optional[int] = None
 
 
 REWRITE_RULES = {
     rule.method: rule
     for rule in (
-        RewriteRule("registerService", 4, 3, KIND_SERVICE, True, service_api_index=2),
-        RewriteRule("registerSubscriber", 4, 3, KIND_SUB, True),
-        RewriteRule("unregisterSubscriber", 3, 2, KIND_SUB, False),
-        RewriteRule("registerPublisher", 4, 3, KIND_PUB, True),
-        RewriteRule("unregisterPublisher", 3, 2, KIND_PUB, False),
+        RewriteRule("registerService", 4, 3, service_api_index=2),
+        RewriteRule("registerSubscriber", 4, 3),
+        RewriteRule("unregisterSubscriber", 3, 2),
+        RewriteRule("registerPublisher", 4, 3),
+        RewriteRule("unregisterPublisher", 3, 2),
     )
 }
 
@@ -92,7 +84,7 @@ def _check_signature(call: MethodCall, rule: RewriteRule) -> Optional[tuple]:
             "%s takes %d params, got %d"
             % (call.method_name, rule.param_count, len(call.params))
         )
-    for index in (0, rule.name_index, rule.caller_api_index):
+    for index in (0, 1, rule.caller_api_index):  # caller_id, topic or service name
         if not isinstance(call.params[index], str):
             raise BadSignature(
                 "%s param %d must be a string" % (call.method_name, index)
@@ -162,7 +154,6 @@ class MasterGateway:
 
             caller_id = call.params[0]
             params = list(call.params)
-            record = None
             try:
                 record = await self._node_for(caller_id, params[rule.caller_api_index])
                 params[rule.caller_api_index] = self.slave_gateways.advertised_uri(record)
@@ -171,20 +162,13 @@ class MasterGateway:
                     params[rule.service_api_index] = self.slave_gateways.advertised_rosrpc(
                         relay.port
                     )
-                name = params[rule.name_index]
-                if rule.registers:
-                    self.registry.add_registration(caller_id, rule.kind, name)
-                else:
-                    remaining = self.registry.remove_registration(caller_id, rule.kind, name)
-                    log.debug("%s %s %r: refcount now %d",
-                              caller_id, call.method_name, name, remaining)
+                if record.purged:
+                    raise UnknownNode(caller_id)
             except UnknownNode as exc:
                 # purged while this waited for the lock
                 return MethodFault(FAULT_APP, "node vanished during handling: %s" % exc)
             except Exception as exc:  # Exhausted, BindFailed
                 log.error("cannot provision %s for %s: %s", call.method_name, caller_id, exc)
-                if record is not None:  # else a new record keeps its lease
-                    await self.registry.purge_record(record, only_if_idle=True)
                 return MethodFault(FAULT_APP, "cannot provision node resources: %s" % exc)
             call = MethodCall(call.method_name, params)
 

@@ -1,13 +1,15 @@
-"""Per-node proxy state: endpoint records, registration refcounts,
-liveness pinging, and resource teardown.
+"""Per-node proxy state: endpoint records, liveness pinging, and
+resource teardown.
 
 Every node that registers through the proxy gets one record holding its
-leased gateway port, its open TCP relays, and the set of names it has
-registered. When the last registration goes away a grace timer starts;
-when the node stops answering pings it is purged outright. Purging
-closes the gateway listener *first* so the advertised port refuses
-connections before any other state is torn down — outside observers
-never see a port that accepts while the record is already gone.
+leased gateway port and its open TCP relays. Three things purge it: it
+stops answering pings, it restarts, or the proxy shuts down. The proxy
+keeps no count of what a node has registered, so a node that has
+unregistered everything keeps its gateway until one of those happens.
+Purging closes the gateway listener *first* so the advertised port
+refuses connections before any other state is torn down — outside
+observers never see a port that accepts while the record is already
+gone.
 
 A restart (same caller_id, new URI) recycles the old record the same
 way, except that its listener stays open: only its connections are
@@ -29,7 +31,7 @@ import asyncio
 import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
+from typing import Awaitable, Callable, Dict, Tuple
 
 from .config import ProxyConfig
 from .http11 import (
@@ -44,11 +46,6 @@ log = logging.getLogger(__name__)
 
 PING_CALLER_ID = "/rosproxy"
 
-KIND_PUB = "pub"
-KIND_SUB = "sub"
-KIND_SERVICE = "service"
-_KIND_ATTR = {KIND_PUB: "publications", KIND_SUB: "subscriptions", KIND_SERVICE: "services"}
-
 
 class UnknownNode(Exception):
     """Operation on a caller_id the registry does not know (or just purged)."""
@@ -56,24 +53,20 @@ class UnknownNode(Exception):
 
 @dataclass
 class NodeRecord:
+    """One proxied node: its real slave API, its gateway port and listener,
+    and the relays it owns. Pings, a restart or shutdown purge it."""
+
     caller_id: str
     real_slave_uri: str
     gateway_lease: PortLease
     gateway_server: asyncio.AbstractServer = field(repr=False, default=None)
-    publications: Set[str] = field(default_factory=set)
-    subscriptions: Set[str] = field(default_factory=set)
-    services: Set[str] = field(default_factory=set)
     tcpros_relays: Dict[Tuple[str, int], RelayHandle] = field(default_factory=dict)
     ping_failures: int = 0
     purged: bool = False
-    _grace_timer: object = field(repr=False, default=None)
 
     @property
     def gateway_port(self) -> int:
         return self.gateway_lease.port
-
-    def refcount(self) -> int:
-        return len(self.publications) + len(self.subscriptions) + len(self.services)
 
 
 # async (record) -> listening server bound to the record's gateway port
@@ -109,7 +102,6 @@ class Registry:
         self.bind_addresses = bind_addresses(config.bind_host)
         self.nodes: Dict[str, NodeRecord] = {}
         self._lock = asyncio.Lock()
-        self._grace_tasks: Set[asyncio.Task] = set()
 
     # -- lookup ------------------------------------------------------
 
@@ -160,22 +152,6 @@ class Registry:
                          else "%d moved to %d" % (old.gateway_port, lease.port))
             return record
 
-    def add_registration(self, caller_id: str, kind: str, name: str) -> int:
-        """Record a pub/sub/service name; returns the new refcount."""
-        record = self.get(caller_id)
-        getattr(record, _kind_attr(kind)).add(name)
-        self._cancel_grace(record)
-        return record.refcount()
-
-    def remove_registration(self, caller_id: str, kind: str, name: str) -> int:
-        """Drop a name; at refcount 0 the purge grace timer starts."""
-        record = self.get(caller_id)
-        getattr(record, _kind_attr(kind)).discard(name)
-        remaining = record.refcount()
-        if remaining == 0:
-            self._start_grace(record)
-        return remaining
-
     @_shielded
     async def lease_relay(self, caller_id: str, target_host: str, target_port: int) -> RelayHandle:
         """Open (or reuse) a relay owned by caller_id toward target."""
@@ -199,16 +175,12 @@ class Registry:
             return handle
 
     @_shielded
-    async def purge_record(self, record: NodeRecord, *, only_if_idle: bool = False) -> bool:
+    async def purge_record(self, record: NodeRecord) -> bool:
         """Purge record if it is still its caller_id's: a restart may have
-        replaced it while this waited for the lock. With only_if_idle, also
-        only if it holds no registration and no grace timer is running for
-        it: when its grace timer has fired, or when a registration failed
-        after the record was built. Returns whether it purged."""
+        replaced it while this waited for the lock. Returns whether it
+        purged."""
         async with self._lock:
             if self.nodes.get(record.caller_id) is not record:
-                return False
-            if only_if_idle and (record.refcount() or record._grace_timer is not None):
                 return False
             await self._purge_locked(record)
             return True
@@ -220,9 +192,6 @@ class Registry:
             for record in list(self.nodes.values()):
                 if not record.purged:
                     await self._purge_locked(record)
-        # a grace purge that fired meanwhile finds its node gone; let it
-        # finish rather than leave it pending past shutdown
-        await asyncio.gather(*self._grace_tasks, return_exceptions=True)
         await self.pool.close()
 
     async def _purge_locked(self, record: NodeRecord, *, keep_listener: bool = False) -> None:
@@ -231,7 +200,6 @@ class Registry:
         # (keep_listener) only aborts the port's connections, and
         # ensure_node hands the listener on or closes it.
         record.purged = True
-        self._cancel_grace(record)
         await (abort_connections if keep_listener else close_server)(record.gateway_server)
         for handle in list(record.tcpros_relays.values()):
             await close_relay(handle)
@@ -243,27 +211,6 @@ class Registry:
         if not keep_listener:
             log.info("node %s purged (gateway port %d released)",
                      record.caller_id, record.gateway_lease.port)
-
-    # -- refcount grace timer ----------------------------------------
-
-    def _start_grace(self, record: NodeRecord) -> None:
-        self._cancel_grace(record)
-        loop = asyncio.get_event_loop()
-
-        def fire():
-            record._grace_timer = None
-            task = asyncio.ensure_future(self.purge_record(record, only_if_idle=True))
-            self._grace_tasks.add(task)
-            task.add_done_callback(self._grace_tasks.discard)
-
-        record._grace_timer = loop.call_later(self.config.purge_grace, fire)
-        log.debug("node %s refcount 0; purge in %.1fs unless it re-registers",
-                  record.caller_id, self.config.purge_grace)
-
-    def _cancel_grace(self, record: NodeRecord) -> None:
-        if record._grace_timer is not None:
-            record._grace_timer.cancel()
-            record._grace_timer = None
 
     # -- liveness ----------------------------------------------------
 
@@ -313,9 +260,3 @@ class Registry:
             except Exception:  # pragma: no cover - keep the loop alive
                 log.exception("ping cycle blew up; continuing")
 
-
-def _kind_attr(kind: str) -> str:
-    try:
-        return _KIND_ATTR[kind]
-    except KeyError:
-        raise ValueError("unknown registration kind %r (expected pub/sub/service)" % kind)

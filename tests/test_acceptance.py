@@ -386,8 +386,7 @@ async def test_criterion_6_resource_conservation():
     master = MiniMaster("127.0.0.1", free_port())
     await master.start()
 
-    app = ProxyApp(make_config(master.uri, range_size=56, advertised_host=ADVERTISED_HOST,
-                               purge_grace=300.0))
+    app = ProxyApp(make_config(master.uri, range_size=56, advertised_host=ADVERTISED_HOST))
     registry, gateway, allocator = app.registry, app.master_gateway, app.registry.allocator
 
     rng = make_rng(606)
@@ -479,7 +478,7 @@ async def test_criterion_6_resource_conservation():
 @criterion(7, "port-determinism")
 async def test_criterion_7_port_determinism_and_exhaustion():
     # one deployment, replayed by two fresh proxies
-    config = make_config(advertised_host=ADVERTISED_HOST, purge_grace=300.0)
+    config = make_config(advertised_host=ADVERTISED_HOST)
 
     async def scripted_run():
         registry = ProxyApp(config).registry

@@ -18,7 +18,6 @@ from rosproxy.config import SETTINGS, ConfigError, ProxyConfig, load_config
 from rosproxy.harness.rpc import RosClient
 from rosproxy.http11 import RpcTransportError, close_server, serve_xmlrpc
 from rosproxy.ports import PortRange
-from rosproxy.registry import KIND_PUB
 from rosproxy.xmlrpc_codec import MethodSuccess
 
 from helpers import CountingExecutor, free_port, make_config, poll_until
@@ -30,6 +29,7 @@ def test_env_parsing_and_defaults():
             "ROSPROXY_MASTER_URI": "http://10.0.0.1:11311/",
             "ROSPROXY_ADVERTISED_HOST": "hostA",
             "ROSPROXY_PORT_RANGE": "30000-30010",
+            "ROSPROXY_PURGE_GRACE": "bogus",  # a removed setting: ignored
         },
         [],
     )
@@ -37,8 +37,9 @@ def test_env_parsing_and_defaults():
     assert cfg.main_port == 11311
     assert cfg.ping_interval == 10.0
     assert cfg.ping_failure_threshold == 3
-    assert cfg.purge_grace == 30.0
     assert cfg.log_level == "info"
+    with pytest.raises(SystemExit):  # argparse: unrecognized arguments
+        load_config({}, ["--purge-grace", "30"])
 
 
 def test_flags_override_env():
@@ -178,37 +179,6 @@ async def test_app_start_serve_stop_releases_everything():
         with socket.socket() as probe:
             probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             probe.bind(("127.0.0.1", port))
-
-
-async def test_stop_during_grace_purge_leaves_no_task_or_lease():
-    """A grace purge that fires while stop() waits for the registry lock
-    is finished by stop(), not left pending behind it."""
-    upstream, uri = await start_upstream()
-    app = ProxyApp(make_config(uri, purge_grace=0.01).validate())
-    await app.start()
-    registry = app.registry
-    record = await registry.ensure_node("/talker", "http://127.0.0.1:1/")
-    registry.add_registration("/talker", KIND_PUB, "/chat")
-
-    async def hold_lock_until_grace_fires():
-        async with registry._lock:
-            # stop() queues on the lock right after closing the main port
-            while app.master_gateway._server is not None:
-                await asyncio.sleep(0.005)
-            registry.remove_registration("/talker", KIND_PUB, "/chat")
-            while record._grace_timer is not None:
-                await asyncio.sleep(0.005)
-            await asyncio.sleep(0.05)  # the grace purge queues behind stop()
-
-    holder = asyncio.ensure_future(hold_lock_until_grace_fires())
-    await asyncio.sleep(0)
-    try:
-        await app.stop()
-    finally:
-        await close_server(upstream)
-    assert holder.done()
-    assert [t for t in asyncio.all_tasks() if t is not asyncio.current_task()] == []
-    assert app.registry.allocator.live_leases() == []
 
 
 async def test_stop_during_registration_leaves_no_lease():
@@ -405,7 +375,7 @@ FLOAT_SETTINGS = [s for s in SETTINGS if isinstance(s.parse(s.default or "", s.k
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("setting", FLOAT_SETTINGS, ids=lambda s: s.flag)
 def test_cli_refuses_a_non_finite_number(setting, text, by, monkeypatch, capsys):
-    """A nan or infinite interval, grace or timeout is a config error
+    """A nan or infinite interval or timeout is a config error
     naming its setting: as a deadline, nan fires at once."""
     from rosproxy import cli
 
@@ -413,7 +383,7 @@ def test_cli_refuses_a_non_finite_number(setting, text, by, monkeypatch, capsys)
         return EXIT_OK
 
     monkeypatch.setattr(cli, "run", serve_nothing)  # a config that loads exits 0
-    assert [s.flag for s in FLOAT_SETTINGS] == ["ping-interval", "purge-grace", "request-timeout"]
+    assert [s.flag for s in FLOAT_SETTINGS] == ["ping-interval", "request-timeout"]
     monkeypatch.setenv("ROSPROXY_MASTER_URI", "http://10.0.0.1:11311/")
     monkeypatch.setenv("ROSPROXY_ADVERTISED_HOST", "hostA")
     argv = []

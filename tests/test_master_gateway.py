@@ -1,5 +1,5 @@
 """Master gateway tests: the five rewritten methods, passthrough
-fidelity for everything else, refcount side effects, and fault paths."""
+fidelity for everything else, and fault paths."""
 
 import asyncio
 import logging
@@ -92,7 +92,6 @@ async def test_register_publisher_rewrites_caller_api():
                  "http://%s:%d/" % (ADV, record.gateway_port)],
             )
         ]
-        assert record.publications == {"/chat"}
         assert record.real_slave_uri == "http://10.0.2.3:43231/"
     finally:
         await close_server(upstream)
@@ -112,16 +111,14 @@ async def test_register_subscriber_response_passes_back_unmodified():
         )
         # publisher list untouched: subscribers dial publishers outbound
         assert response == MethodSuccess([1, "Subscribed", ["http://pub-elsewhere:5555/"]])
-        assert registry.get("/listener").subscriptions == {"/chat"}
     finally:
         await close_server(upstream)
         await registry.purge_all()
 
 
-async def test_unregister_uses_three_param_signature_and_drops_refcount():
+async def test_unregister_uses_three_param_signature_and_keeps_the_node():
     upstream, uri, calls = await start_upstream_stub()
-    # a long grace keeps the purge timer from firing mid-test
-    gateway, registry, _, _ = build_gateway(uri, purge_grace=60.0)
+    gateway, registry, _, _ = build_gateway(uri)
     try:
         await gateway.handle_master_call(
             MethodCall(
@@ -138,8 +135,7 @@ async def test_unregister_uses_three_param_signature_and_drops_refcount():
             ),
             None,
         )
-        assert record.refcount() == 0
-        assert "/listener" in registry.nodes  # grace, not instant purge
+        assert registry.get("/listener") is record
         assert calls[1] == (
             "unregisterSubscriber",
             ["/listener", "/chat", "http://%s:%d/" % (ADV, record.gateway_port)],
@@ -176,7 +172,6 @@ async def test_register_service_rewrites_both_apis_and_relays():
             "rosrpc://%s:%d" % (ADV, relay.port),
             "http://%s:%d/" % (ADV, record.gateway_port),
         ]
-        assert record.services == {"/add_two_ints"}
 
         reader, writer = await asyncio.open_connection(ADV, relay.port)
         assert await asyncio.wait_for(reader.read(), 2.0) == b"service-bytes"
@@ -195,10 +190,10 @@ async def test_register_service_rewrites_both_apis_and_relays():
         await registry.purge_all()
 
 
-async def test_register_service_without_relay_port_purges_only_a_new_node():
-    """A registerService whose relay finds no free port faults. A node the
-    call built is purged with its gateway lease; a node that already holds
-    a registration keeps it."""
+async def test_register_service_without_relay_port_keeps_the_node_and_its_gateway():
+    """A registerService whose relay finds no free port faults, and nothing
+    goes upstream. The node keeps its one gateway lease, as any node does
+    until pings, a restart or shutdown purge it."""
     upstream, uri, calls = await start_upstream_stub()
     gateway, registry, _, allocator = build_gateway(uri, range_size=1)
     register_service = MethodCall(
@@ -212,9 +207,10 @@ async def test_register_service_without_relay_port_purges_only_a_new_node():
     )
     try:
         assert await gateway.handle_master_call(register_service, None) == exhausted
-        assert "/adder" not in registry.nodes
-        assert allocator.live_leases() == []
-        await poll_refused("127.0.0.1", allocator.port_range.low, timeout=2.0)
+        record = registry.get("/adder")
+        assert record.tcpros_relays == {}
+        assert [lease.port for lease in allocator.live_leases()] == [record.gateway_port]
+        assert calls == []
 
         register_publisher = MethodCall(
             "registerPublisher", ["/adder", "/sum", "std_msgs/Int32", "http://10.0.2.5:43299/"]
@@ -223,7 +219,7 @@ async def test_register_service_without_relay_port_purges_only_a_new_node():
             [1, "Registered", 1]
         )
         assert await gateway.handle_master_call(register_service, None) == exhausted
-        assert registry.get("/adder").publications == {"/sum"}
+        assert registry.get("/adder") is record
         assert len(allocator.live_leases()) == 1
         assert [method for method, _ in calls] == ["registerPublisher"]
     finally:
@@ -342,10 +338,96 @@ async def test_unreachable_upstream_is_transport_fault():
         )
         assert isinstance(response, MethodFault)
         assert response.code == FAULT_TRANSPORT
-        # intent was still recorded; liveness pinging owns the cleanup
-        assert registry.get("/talker").publications == {"/chat"}
+        # the node keeps its gateway; liveness pinging owns the cleanup
+        assert "/talker" in registry.nodes
     finally:
         await registry.purge_all()
+
+
+# -- what purges a node: pings, a restart or shutdown, never a fault or
+# an unregistration. Each test runs a whole ProxyApp, pinging fast.
+
+
+async def start_pid_node():
+    """A slave API that answers getPid."""
+
+    async def dispatch(path, call, peer):
+        return MethodSuccess([1, "pid", 4242])
+
+    port = free_port()
+    return await serve_xmlrpc("127.0.0.1", port, dispatch), "http://127.0.0.1:%d/" % port
+
+
+def fast_pinging_app(upstream_uri):
+    app = ProxyApp(make_config(
+        upstream_uri, advertised_host=ADV, ping_interval=0.05, ping_failure_threshold=2
+    ))
+    cycles = []
+    ping_cycle = app.registry.ping_cycle
+
+    async def counted_ping_cycle():
+        cycles.append(await ping_cycle())
+        return cycles[-1]
+
+    app.registry.ping_cycle = counted_ping_cycle
+    return app, cycles
+
+
+async def test_upstream_down_faults_registrations_and_the_node_keeps_its_gateway():
+    node, node_uri = await start_pid_node()
+    app, cycles = fast_pinging_app("http://127.0.0.1:%d/" % free_port())  # refuses
+    registry, allocator = app.registry, app.registry.allocator
+    await app.start()
+    try:
+        client = RosClient("http://127.0.0.1:%d/" % app.config.main_port, timeout=2.0)
+        registered = await client.call(
+            "registerPublisher", ["/talker", "/chat", "std_msgs/String", node_uri]
+        )
+        assert isinstance(registered, MethodFault) and registered.code == FAULT_TRANSPORT
+        record = registry.get("/talker")
+        assert [lease.port for lease in allocator.live_leases()] == [record.gateway_port]
+
+        unregistered = await client.call("unregisterPublisher", ["/talker", "/chat", node_uri])
+        assert isinstance(unregistered, MethodFault) and unregistered.code == FAULT_TRANSPORT
+        seen = len(cycles)
+        await poll_until(lambda: len(cycles) >= seen + 3, timeout=5.0)
+        gateway = RosClient("http://127.0.0.1:%d/" % record.gateway_port, timeout=2.0)
+        assert (await gateway.call_ros("getPid", ["/probe"])).value == 4242
+        assert registry.get("/talker") is record
+        assert [lease.port for lease in allocator.live_leases()] == [record.gateway_port]
+    finally:
+        await app.stop()
+        await close_server(node)
+
+
+async def test_a_node_that_unregistered_everything_is_purged_only_by_pings():
+    upstream, uri, _ = await start_upstream_stub()
+    node, node_uri = await start_pid_node()
+    app, cycles = fast_pinging_app(uri)
+    registry, allocator = app.registry, app.registry.allocator
+    await app.start()
+    try:
+        client = RosClient("http://127.0.0.1:%d/" % app.config.main_port, timeout=2.0)
+        await client.call_ros("registerPublisher", ["/talker", "/chat", "std_msgs/String", node_uri])
+        await client.call_ros("unregisterPublisher", ["/talker", "/chat", node_uri])
+        record = registry.get("/talker")
+        gateway = RosClient("http://127.0.0.1:%d/" % record.gateway_port, timeout=2.0)
+
+        seen = len(cycles)
+        await poll_until(lambda: len(cycles) >= seen + 3, timeout=5.0)
+        assert all(cycle == [("/talker", "ok")] for cycle in cycles[seen:])
+        assert (await gateway.call_ros("getPid", ["/probe"])).value == 4242
+        assert registry.get("/talker") is record
+
+        await close_server(node)
+        await poll_until(lambda: [("/talker", "purged")] in cycles, timeout=5.0)
+        assert "/talker" not in registry.nodes
+        await poll_refused("127.0.0.1", record.gateway_port, timeout=2.0)
+        assert allocator.live_leases() == []
+    finally:
+        await app.stop()
+        await close_server(node)
+        await close_server(upstream)
 
 
 async def test_reregistration_is_idempotent_incl_advertised_uri_echo():

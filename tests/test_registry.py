@@ -1,6 +1,6 @@
-"""Registry tests: node lifecycle, refcounts, grace purge, relay
-ownership, ping-driven purge, a restart that keeps its gateway port, and
-the no-leak resource invariant."""
+"""Registry tests: node lifecycle, relay ownership, ping-driven purge, a
+restart that keeps its gateway port, and the no-leak resource
+invariant."""
 
 import asyncio
 import logging
@@ -12,14 +12,7 @@ from rosproxy.http11 import (
     BindFailed, RpcTransportError, XmlRpcClient, close_server, serve_xmlrpc,
 )
 from rosproxy.ports import PURPOSE_SLAVE_API, PURPOSE_TCPROS, Exhausted
-from rosproxy.registry import (
-    KIND_PUB,
-    KIND_SERVICE,
-    KIND_SUB,
-    NodeRecord,
-    Registry,
-    UnknownNode,
-)
+from rosproxy.registry import NodeRecord, Registry, UnknownNode
 from rosproxy.xmlrpc_codec import MethodFault, MethodSuccess
 
 from helpers import free_port, lock_waiters, make_config, make_rng, poll_refused, poll_until
@@ -89,46 +82,6 @@ async def test_gateway_start_failure_releases_lease():
     assert registry.nodes == {}
 
 
-async def test_refcounts_use_set_semantics():
-    registry, _ = make_registry()
-    await registry.ensure_node("/n", "http://127.0.0.1:1/")
-    assert registry.add_registration("/n", KIND_PUB, "/chat") == 1
-    assert registry.add_registration("/n", KIND_PUB, "/chat") == 1  # no double count
-    assert registry.add_registration("/n", KIND_SUB, "/other") == 2
-    assert registry.add_registration("/n", KIND_SERVICE, "/srv") == 3
-    assert registry.remove_registration("/n", KIND_PUB, "/chat") == 2
-    assert registry.remove_registration("/n", KIND_PUB, "/chat") == 2  # absent: unchanged
-    with pytest.raises(UnknownNode):
-        registry.add_registration("/ghost", KIND_PUB, "/chat")
-    with pytest.raises(ValueError):
-        registry.add_registration("/n", "bogus", "/chat")
-    await registry.purge_all()
-
-
-async def test_zero_refcount_purges_after_grace():
-    registry, allocator = make_registry(purge_grace=0.15)
-    record = await registry.ensure_node("/n", "http://127.0.0.1:1/")
-    port = record.gateway_port
-    registry.add_registration("/n", KIND_PUB, "/chat")
-    assert registry.remove_registration("/n", KIND_PUB, "/chat") == 0
-    assert "/n" in registry.nodes  # not yet: grace running
-    await poll_until(lambda: "/n" not in registry.nodes, timeout=2.0)
-    await poll_refused("127.0.0.1", port, timeout=2.0)
-    assert allocator.live_leases() == []
-
-
-async def test_reregistration_within_grace_cancels_purge():
-    registry, allocator = make_registry(purge_grace=0.15)
-    await registry.ensure_node("/n", "http://127.0.0.1:1/")
-    registry.add_registration("/n", KIND_SUB, "/chat")
-    registry.remove_registration("/n", KIND_SUB, "/chat")
-    registry.add_registration("/n", KIND_SUB, "/chat")  # back within grace
-    await asyncio.sleep(0.4)
-    assert "/n" in registry.nodes
-    assert len(allocator.live_leases()) == 1
-    await registry.purge_all()
-
-
 async def test_lease_relay_dedups_by_target():
     registry, allocator = make_registry()
     await registry.ensure_node("/n", "http://127.0.0.1:1/")
@@ -160,12 +113,11 @@ async def test_purge_closes_gateway_port_first_and_frees_everything():
 
 async def test_purge_then_ensure_same_id_gives_fresh_state():
     registry, _ = make_registry()
-    await registry.ensure_node("/n", "http://127.0.0.1:1/")
-    registry.add_registration("/n", KIND_PUB, "/chat")
+    old = await registry.ensure_node("/n", "http://127.0.0.1:1/")
     await registry.lease_relay("/n", "127.0.0.1", 50001)
     await registry.purge_record(registry.get("/n"))
     fresh = await registry.ensure_node("/n", "http://127.0.0.1:1/")
-    assert fresh.refcount() == 0
+    assert fresh is not old and not fresh.purged
     assert fresh.tcpros_relays == {}
     await registry.purge_all()
 
@@ -383,28 +335,6 @@ async def test_stale_ping_purge_spares_the_restarted_record():
     assert await ping == []  # the stale ping purged nothing
     assert registry.nodes.get("/n") is fresh
     assert fresh.real_slave_uri == new_uri
-    assert registry.add_registration("/n", KIND_PUB, "/chat") == 1
-    assert len(allocator.live_leases()) == 1
-    await registry.purge_all()
-
-
-async def test_stale_grace_purge_spares_the_restarted_record():
-    registry, allocator = make_registry(purge_grace=0.05)
-    old = await registry.ensure_node("/n", "http://127.0.0.1:1/")
-    registry.add_registration("/n", KIND_PUB, "/chat")
-    new_uri = "http://127.0.0.1:2/"
-    await registry._lock.acquire()
-    assert registry.remove_registration("/n", KIND_PUB, "/chat") == 0  # grace starts
-    restart = asyncio.ensure_future(registry.ensure_node("/n", new_uri))
-    await poll_until(lambda: lock_waiters(registry) == 1, timeout=2.0)
-    # the old record's timer fires and its purge queues behind the restart
-    await poll_until(lambda: lock_waiters(registry) == 2, timeout=2.0)
-    assert old._grace_timer is None
-    registry._lock.release()
-    fresh = await restart
-    await asyncio.gather(*registry._grace_tasks)
-    assert registry.nodes.get("/n") is fresh
-    assert registry.add_registration("/n", KIND_PUB, "/chat") == 1
     assert len(allocator.live_leases()) == 1
     await registry.purge_all()
 
@@ -414,24 +344,15 @@ async def test_stale_grace_purge_spares_the_restarted_record():
 
 async def test_randomized_walk_conserves_resources():
     for seed in (11, 23, 47):
-        registry, allocator = make_registry(range_size=16, purge_grace=60.0)
+        registry, allocator = make_registry(range_size=16)
         rng = make_rng(seed)
         ids = ["/n%d" % i for i in range(4)]
-        topics = ["/t%d" % i for i in range(5)]
         for _ in range(200):
-            action = rng.choice(["ensure", "add", "remove", "relay", "purge", "check"])
+            action = rng.choice(["ensure", "relay", "purge", "check"])
             node = rng.choice(ids)
             try:
                 if action == "ensure":
                     await registry.ensure_node(node, "http://127.0.0.1:1/")
-                elif action == "add":
-                    registry.add_registration(
-                        node, rng.choice([KIND_PUB, KIND_SUB]), rng.choice(topics)
-                    )
-                elif action == "remove":
-                    registry.remove_registration(
-                        node, rng.choice([KIND_PUB, KIND_SUB]), rng.choice(topics)
-                    )
                 elif action == "relay":
                     await registry.lease_relay(node, "127.0.0.1", rng.randint(50000, 50003))
                 elif action == "purge":
